@@ -7,7 +7,7 @@ shows the old file surviving untouched, then bit-flips an archive and
 watches the CRC32 check reject it.  Part two interrupts an LSTM training
 run mid-epoch, resumes it from its crash-safe checkpoint, and verifies the
 stitched history is *bit-identical* to an uninterrupted twin — the
-invariant ``python -m repro resilience-bench`` asserts under real
+invariant ``tests/test_resilience_crash.py`` asserts under real
 SIGKILLs::
 
     python examples/resilient_training.py
@@ -116,7 +116,8 @@ def main() -> None:
         print()
         checkpoint_resume_demo(workdir)
     print("\nFor the SIGKILL version of this story (real process death, "
-          "registry writers included):\n    python -m repro resilience-bench")
+          "registry writers included):\n"
+          "    PYTHONPATH=src python -m pytest tests/test_resilience_crash.py")
 
 
 if __name__ == "__main__":

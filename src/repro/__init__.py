@@ -34,8 +34,8 @@ Subpackages
     Sharded serving control plane: consistent-hash routing, worker
     failover by history replay, metrics-driven autoscaling.
 ``repro.resilience``
-    Crash-safety toolkit: fault injection, retry with backoff, and the
-    ``repro resilience-bench`` kill/resume harness.
+    Crash-safety toolkit: named fault points with a deterministic
+    injector, and retry with backoff.
 ``repro.store``
     Crash-safe sharded telemetry store: WAL + mmap segment files,
     zero-copy reads, deterministic replay, compaction.

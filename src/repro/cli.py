@@ -1,21 +1,18 @@
 """Command-line interface.
 
-Four subcommands cover the common workflows end to end::
+Six subcommands cover the common workflows end to end::
 
-    python -m repro simulate         --scale 0.05 --npz-dir release/ --csv-dir logs/
-    python -m repro evaluate         --model rf_cov --dataset 60-middle-1 --scale 0.05
-    python -m repro efficiency       --scale 0.02
-    python -m repro serve-bench      --scale 0.02 --jobs 50
-    python -m repro monitor-bench    --scale 0.02 --jobs 24 --challenger good
-    python -m repro resilience-bench --scale 0.01 --mtbf-epochs 2
-    python -m repro store-bench      --quick --out BENCH_store.json
-    python -m repro fleet-bench      --quick --out BENCH_fleet.json
-    python -m repro trace-bench      --quick --out BENCH_trace.json
+    python -m repro simulate      --scale 0.05 --npz-dir release/ --csv-dir logs/
+    python -m repro evaluate      --model rf_cov --dataset 60-middle-1 --scale 0.05
+    python -m repro efficiency    --scale 0.02
+    python -m repro serve-bench   --scale 0.02 --jobs 50
+    python -m repro monitor-bench --scale 0.02 --jobs 24 --challenger good
+    python -m repro bench         [SUITE ...] [--quick] [--out-dir DIR]
 
 All commands are deterministic for a given ``--seed`` (``serve-bench`` and
 ``monitor-bench`` wall-clock throughput varies with the machine; every
-classification, batch, shed, drift, rollout and preemption decision does
-not).
+classification, batch, shed, drift and rollout decision does not).
+``bench`` measures wall time by design.
 """
 
 from __future__ import annotations
@@ -23,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.perf.benches import SUITES
 from repro.simcluster.cluster import SimulationConfig
 
 __all__ = ["main", "build_parser"]
@@ -144,161 +142,28 @@ def build_parser() -> argparse.ArgumentParser:
                             "this path (an empty store is seeded with the "
                             "bench's simulated release first)")
 
-    p_res = sub.add_parser(
-        "resilience-bench",
-        help="SIGKILL an LSTM training run at simulated preemptions and "
-             "registry writers mid-save; assert checkpoint/resume is "
-             "bit-identical and the registry keeps serving",
-    )
-    add_common(p_res)
-    p_res.set_defaults(scale=0.01)
-    p_res.add_argument("--epochs", type=int, default=5,
-                       help="training epochs for both twins (default 5)")
-    p_res.add_argument("--hidden", type=int, default=8,
-                       help="LSTM hidden size (default 8; paper: 128)")
-    p_res.add_argument("--time-stride", type=int, default=8,
-                       help="window subsampling for CPU budget (default 8)")
-    p_res.add_argument("--mtbf-epochs", type=float, default=2.0,
-                       help="mean epochs between injected preemptions "
-                            "(default 2.0)")
-    p_res.add_argument("--workdir",
-                       help="checkpoint/registry directory (default: a "
-                            "temporary directory)")
+    def suite_name(name: str) -> str:
+        if name not in SUITES:
+            raise argparse.ArgumentTypeError(
+                f"unknown suite {name!r} (choose from {', '.join(SUITES)})")
+        return name
 
-    p_perf = sub.add_parser(
-        "perf-bench",
-        help="time serve/train/infer hot paths against their slow "
-             "reference implementations, gate on bit-identical "
-             "predictions, and write BENCH_*.json baselines",
+    p_bench = sub.add_parser(
+        "bench",
+        help="time the serve/infer/train/store/fleet/trace suites, fast "
+             "paths behind a bit-parity assert, and write one "
+             "BENCH_<suite>.json per suite",
     )
-    p_perf.add_argument("--seed", type=int, default=0,
-                        help="bench data seed (default 0)")
-    p_perf.add_argument("--scale", type=float, default=1.0,
-                        help="workload size multiplier (0.01 = CI smoke, "
-                             "1.0 = workstation baseline)")
-    p_perf.add_argument("--repeats", type=int, default=5,
-                        help="timed runs per bench (default 5)")
-    p_perf.add_argument("--warmup", type=int, default=1,
-                        help="untimed warmup runs per bench (default 1)")
-    p_perf.add_argument("--n-jobs", type=int, default=2,
-                        help="worker processes for the parallel variants "
-                             "(default 2)")
-    p_perf.add_argument("--out-dir", default=".",
-                        help="directory for BENCH_serve.json / "
-                             "BENCH_train.json / BENCH_infer.json "
-                             "(default: current directory)")
-
-    p_train = sub.add_parser(
-        "train-bench",
-        help="gate fused backward kernels against their slow references "
-             "and data-parallel training against the serial trajectory "
-             "(bitwise), then measure training throughput into "
-             "BENCH_train.json",
-    )
-    p_train.add_argument("--seed", type=int, default=0,
-                         help="bench data seed (default 0)")
-    p_train.add_argument("--scale", type=float, default=1.0,
-                         help="workload size multiplier (0.05 = CI smoke, "
-                              "1.0 = committed baseline shape)")
-    p_train.add_argument("--repeats", type=int, default=3,
-                         help="timed runs per bench (default 3)")
-    p_train.add_argument("--warmup", type=int, default=1,
-                         help="untimed warmup runs per bench (default 1)")
-    p_train.add_argument("--n-jobs", type=int, default=4,
-                         help="gradient worker processes for the parallel "
-                              "variants (default 4)")
-    p_train.add_argument("--out", default="BENCH_train.json",
-                         help="output path for the bench JSON "
-                              "(default: BENCH_train.json)")
-
-    p_store = sub.add_parser(
-        "store-bench",
-        help="ingest a simulated release into the crash-safe telemetry "
-             "store, then gate replay bit-parity, SIGKILL recovery at "
-             "every store.* fault point, zero-copy RSS, and compaction "
-             "feature parity while timing ingest/recover/replay/compact",
-    )
-    p_store.add_argument("--seed", type=int, default=2022,
-                         help="simulation seed (default 2022)")
-    p_store.add_argument("--scale", type=float, default=0.02,
-                         help="trials_scale of the ingested release")
-    p_store.add_argument("--repeats", type=int, default=3,
-                         help="timed runs per bench (default 3)")
-    p_store.add_argument("--shards", type=int, nargs="+", default=[1, 4],
-                         help="shard counts the parity gates sweep "
-                              "(default: 1 4)")
-    p_store.add_argument("--rates", type=float, nargs="+", default=[1.0, 4.0],
-                         help="replay-rate multipliers the determinism "
-                              "gate sweeps (default: 1.0 4.0)")
-    p_store.add_argument("--quick", action="store_true",
-                         help="CI smoke: smaller release, fewer repeats")
-    p_store.add_argument("--out", default="BENCH_store.json",
-                         help="output path for the bench JSON "
-                              "(default: BENCH_store.json)")
-
-    p_fleet = sub.add_parser(
-        "fleet-bench",
-        help="drive seeded fleet traffic through 1/2/4/8 workers behind "
-             "the consistent-hash router, crash a worker mid-run, and "
-             "gate routing determinism, post-failover emission parity, "
-             "ring churn bounds, throughput scaling, and autoscaling",
-    )
-    p_fleet.add_argument("--seed", type=int, default=2022,
-                         help="simulation/replay seed (default 2022)")
-    p_fleet.add_argument("--scale", type=float, default=0.02,
-                         help="trials_scale of the simulated release the "
-                              "parity model trains on")
-    p_fleet.add_argument("--jobs", type=int, default=32,
-                         help="concurrent simulated job streams (default 32)")
-    p_fleet.add_argument("--trees", type=int, default=30,
-                         help="random-forest size for the parity model")
-    p_fleet.add_argument("--workers", type=int, nargs="+",
-                         default=[1, 2, 4, 8],
-                         help="worker counts the scaling gate sweeps "
-                              "(must include 1 and 4; default: 1 2 4 8)")
-    p_fleet.add_argument("--capacity", type=int, default=4,
-                         help="ingress chunks each worker serves per tick "
-                              "(the capacity model; default 4)")
-    p_fleet.add_argument("--kill-tick", type=int, default=12,
-                         help="tick at which the victim worker crashes "
-                              "(default 12)")
-    p_fleet.add_argument("--quick", action="store_true",
-                         help="CI smoke: stub model over synthetic "
-                              "telemetry, shorter streams, 1/2/4 workers")
-    p_fleet.add_argument("--out", default="BENCH_fleet.json",
-                         help="output path for the bench JSON "
-                              "(default: BENCH_fleet.json)")
-
-    p_trace = sub.add_parser(
-        "trace-bench",
-        help="gate the request-tracing subsystem: traced/untraced "
-             "emission parity under a worker crash, span-tree "
-             "connectivity at 4 workers, failover trace links, sampled "
-             "hot-path overhead <5%%, and span-WAL crash recovery",
-    )
-    p_trace.add_argument("--seed", type=int, default=2022,
-                         help="replay seed (default 2022)")
-    p_trace.add_argument("--jobs", type=int, default=None,
-                         help="job streams in the failover scenario "
-                              "(default 32, or 16 with --quick)")
-    p_trace.add_argument("--workers", type=int, default=4,
-                         help="fleet size for the connectivity gate "
-                              "(default 4)")
-    p_trace.add_argument("--kill-tick", type=int, default=6,
-                         help="tick at which the victim worker crashes "
-                              "(default 6)")
-    p_trace.add_argument("--sample", type=float, default=1.0 / 16.0,
-                         help="sampling rate the overhead gate runs at "
-                              "(default 1/16)")
-    p_trace.add_argument("--max-overhead", type=float, default=0.05,
-                         help="sampled hot-path overhead budget "
-                              "(default 0.05 = 5%%)")
-    p_trace.add_argument("--quick", action="store_true",
-                         help="CI smoke: shorter streams, earlier kill, "
-                              "fewer timing repeats")
-    p_trace.add_argument("--out", default="BENCH_trace.json",
-                         help="output path for the bench JSON "
-                              "(default: BENCH_trace.json)")
+    p_bench.add_argument("suites", nargs="*", type=suite_name,
+                         metavar="SUITE",
+                         help=f"suites to run (default: all of "
+                              f"{', '.join(SUITES)})")
+    p_bench.add_argument("--quick", action="store_true",
+                         help="CI smoke sizes; full-size throughput "
+                              "gates are skipped")
+    p_bench.add_argument("--out-dir", default=".",
+                         help="directory for the BENCH files "
+                              "(default: current directory)")
     return parser
 
 
@@ -494,191 +359,10 @@ def _cmd_monitor_bench(args) -> int:
     return 0 if report.state == expected else 1
 
 
-def _cmd_resilience_bench(args) -> int:
-    from repro.resilience.bench import ResilienceBenchConfig, run_resilience_bench
+def _cmd_bench(args) -> int:
+    from repro.perf import run_bench
 
-    config = ResilienceBenchConfig(
-        seed=args.seed,
-        scale=args.scale,
-        hidden_size=args.hidden,
-        time_stride=args.time_stride,
-        max_epochs=args.epochs,
-        patience=args.epochs,
-        mtbf_epochs=args.mtbf_epochs,
-        workdir=args.workdir,
-    )
-    report = run_resilience_bench(config)
-    print(report.format())
-    print(f"\n({report.fit_seconds:.1f}s total)")
-    verdict = "ok" if report.ok else "VIOLATED"
-    print(f"resilience verdict: {verdict}")
-    return 0 if report.ok else 1
-
-
-def _cmd_perf_bench(args) -> int:
-    from pathlib import Path
-
-    from repro.perf import ParityError, run_perf_suite, write_bench_json
-
-    try:
-        groups = run_perf_suite(
-            scale=args.scale, warmup=args.warmup, repeats=args.repeats,
-            n_jobs=args.n_jobs, seed=args.seed,
-        )
-    except ParityError as exc:
-        print(f"PARITY FAILURE: {exc}", file=sys.stderr)
-        return 1
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for stem, results in groups.items():
-        path = write_bench_json(out_dir / f"BENCH_{stem}.json", results)
-        print(f"# {path}")
-        for result in results:
-            print(f"  {result}")
-
-    def _p50(name: str) -> float:
-        for results in groups.values():
-            for r in results:
-                if r.bench == name:
-                    return r.p50_s
-        raise KeyError(name)
-
-    print("\nspeedups (slow p50 / fast p50):")
-    for label, slow, fast in (
-        ("forest predict", "forest.predict.slow", "forest.predict.flat"),
-        ("boosting margins", "boosting.margins.slow", "boosting.margins.flat"),
-        ("lstm predict", "lstm.predict.grad", "lstm.predict.nograd"),
-        ("batch assembly", "serve.batch.stack", "serve.batch.scratch"),
-        ("datagen", "datagen.serial", f"datagen.parallel.j{args.n_jobs}"),
-    ):
-        try:
-            print(f"  {label:<18s} {_p50(slow) / _p50(fast):6.2f}x")
-        except KeyError:
-            pass
-    print("parity: all fast paths bit-identical to slow references")
-    return 0
-
-
-def _cmd_train_bench(args) -> int:
-    from repro.perf import ParityError, run_train_bench, write_bench_json
-
-    try:
-        results, failures, checked = run_train_bench(
-            scale=args.scale, warmup=args.warmup, repeats=args.repeats,
-            n_jobs=args.n_jobs, seed=args.seed,
-        )
-    except ParityError as exc:
-        print(f"PARITY FAILURE: {exc}", file=sys.stderr)
-        return 1
-    print(f"parity: {len(checked)} gates bit-identical "
-          f"({', '.join(checked)})")
-    path = write_bench_json(args.out, results)
-    print(f"# {path}")
-    for result in results:
-        print(f"  {result}")
-    if failures:
-        for msg in failures:
-            print(f"THROUGHPUT GATE FAILED: {msg}", file=sys.stderr)
-        return 1
-    if args.scale >= 1.0:
-        print("throughput: all gates met")
-    return 0
-
-
-def _cmd_store_bench(args) -> int:
-    from repro.perf import ParityError, write_bench_json
-    from repro.store.bench import StoreBenchConfig, run_store_bench
-
-    if args.quick:
-        config = StoreBenchConfig(
-            seed=args.seed, scale=min(args.scale, 0.01),
-            shard_counts=(1, 2), rates=(1.0, 4.0), repeats=2,
-        )
-    else:
-        config = StoreBenchConfig(
-            seed=args.seed, scale=args.scale,
-            shard_counts=tuple(args.shards), rates=tuple(args.rates),
-            repeats=args.repeats,
-        )
-    try:
-        results = run_store_bench(config)
-    except ParityError as exc:
-        print(f"STORE GATE FAILURE: {exc}", file=sys.stderr)
-        return 1
-    path = write_bench_json(args.out, results)
-    print(f"# {path}")
-    for result in results:
-        print(f"  {result}")
-    print("gates: ingest/readback bit-parity at shards "
-          f"{list(config.shard_counts)}, replay determinism at rates "
-          f"{list(config.rates)}, SIGKILL recovery at store.wal.append / "
-          "store.segment.finalize / store.manifest.swap, replay RSS, "
-          "compaction feature parity — all passed")
-    return 0
-
-
-def _cmd_fleet_bench(args) -> int:
-    from repro.fleet.bench import FleetBenchConfig, run_fleet_bench
-    from repro.perf import write_bench_json
-
-    if args.quick:
-        config = FleetBenchConfig.quick(
-            seed=args.seed, kill_tick=min(args.kill_tick, 6),
-        )
-    else:
-        config = FleetBenchConfig(
-            seed=args.seed,
-            scale=args.scale,
-            trees=args.trees,
-            n_jobs=args.jobs,
-            worker_counts=tuple(args.workers),
-            capacity_per_step=args.capacity,
-            kill_tick=args.kill_tick,
-        )
-    report = run_fleet_bench(config)
-    if report.fit_seconds:
-        print(f"trained rf_cov({config.trees} trees) parity model in "
-              f"{report.fit_seconds:.1f}s\n")
-    print(report.format())
-    path = write_bench_json(args.out, report.results)
-    print(f"\n# {path}")
-    for result in report.results:
-        print(f"  {result}")
-    verdict = "ok" if report.ok else "VIOLATED"
-    print(f"fleet verdict: {verdict} ({report.wall_seconds:.1f}s)")
-    return 0 if report.ok else 1
-
-
-def _cmd_trace_bench(args) -> int:
-    from repro.perf import write_bench_json
-    from repro.trace.bench import TraceBenchConfig, run_trace_bench
-
-    overrides = dict(
-        seed=args.seed,
-        parity_workers=args.workers,
-        sample=args.sample,
-        max_overhead=args.max_overhead,
-    )
-    if args.jobs is not None:
-        overrides["n_jobs"] = args.jobs
-    if args.quick:
-        config = TraceBenchConfig.quick(
-            **overrides, kill_tick=min(args.kill_tick, 3),
-        )
-    else:
-        config = TraceBenchConfig(**overrides, kill_tick=args.kill_tick)
-    report = run_trace_bench(config)
-    print(report.format())
-    if report.example_trace:
-        print("\nthe killed request's trace:")
-        print(report.example_trace)
-    path = write_bench_json(args.out, report.results)
-    print(f"\n# {path}")
-    for result in report.results:
-        print(f"  {result}")
-    verdict = "ok" if report.ok else "VIOLATED"
-    print(f"trace verdict: {verdict} ({report.wall_seconds:.1f}s)")
-    return 0 if report.ok else 1
+    return run_bench(args.suites, quick=args.quick, out_dir=args.out_dir)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -690,12 +374,7 @@ def main(argv: list[str] | None = None) -> int:
         "efficiency": _cmd_efficiency,
         "serve-bench": _cmd_serve_bench,
         "monitor-bench": _cmd_monitor_bench,
-        "resilience-bench": _cmd_resilience_bench,
-        "perf-bench": _cmd_perf_bench,
-        "train-bench": _cmd_train_bench,
-        "store-bench": _cmd_store_bench,
-        "fleet-bench": _cmd_fleet_bench,
-        "trace-bench": _cmd_trace_bench,
+        "bench": _cmd_bench,
     }
     return handlers[args.command](args)
 

@@ -23,8 +23,8 @@ drives it unchanged) but fans the work across N workers:
   fleet-wide view — the signal the autoscaler consumes.
 
 Everything is synchronous and clock-injected; a fleet replay is
-deterministic for a fixed seed, which is what lets ``repro fleet-bench``
-gate routing determinism and failover parity bit-for-bit.
+deterministic for a fixed seed, which is what lets the tests pin
+routing determinism and failover parity bit-for-bit.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ A worker owns one :class:`~repro.serve.server.InferenceServer` plus its
 own :class:`~repro.serve.metrics.MetricsRegistry` (the router merges
 registries fleet-wide), a bounded per-step serving capacity, and the
 ``fleet.worker.crash`` / ``fleet.heartbeat.drop`` fault points that let
-tests and ``repro fleet-bench`` kill it at an exact tick.
+tests and ``repro bench fleet`` kill it at an exact tick.
 
 Two interchangeable implementations share the same surface (``submit`` /
 ``step`` / ``drain`` / ``end_session`` / ``rebuild_session`` /

@@ -137,8 +137,8 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
     def _predict_proba_slow(self, X) -> np.ndarray:
         """Legacy per-tree prediction loop.
 
-        Kept as the reference path: ``repro perf-bench`` gates the
-        vectorized path on bit-identity against this implementation.
+        Kept as the reference path: ``repro bench infer`` asserts the
+        vectorized path is bit-identical to it before timing both.
         """
         self._check_fitted("estimators_")
         X = check_2d(X)

@@ -20,7 +20,7 @@ per-tree ``searchsorted`` remap at predict time disappears), regression
 trees is left to the caller, which adds per-tree contributions in the
 same order as the legacy loop — keeping ensemble predictions bit-identical
 to the per-tree path (pinned by the parity suite and the
-``repro perf-bench`` gate).
+``repro bench infer`` parity assert).
 
 ``leaf_indices`` optionally fans the traversal out over trees with
 :func:`repro.parallel.parallel_map`.  Workers return integer leaf indices

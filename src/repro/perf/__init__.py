@@ -1,44 +1,40 @@
-"""Performance regression harness (``repro perf-bench``).
+"""Microbenchmarks (``repro bench``).
 
-Times the repo's serving, training, and inference hot paths against the
-slow reference implementations they replaced, gates on bit-identical
-predictions, and writes the committed ``BENCH_*.json`` baselines.
+:mod:`repro.perf.benches` registers six timed suites — ``serve``,
+``infer``, ``train``, ``store``, ``fleet``, ``trace`` — each writing one
+committed ``BENCH_<suite>.json``; :mod:`repro.perf.harness` is the
+timing core and the file schema.  Fast paths are timed against the slow
+references they replaced, behind a bit-parity assert.
 """
 
 from repro.perf.benches import (
-    bench_boosting,
-    bench_datagen,
-    bench_forest,
-    bench_lstm,
-    bench_serve,
-    run_perf_suite,
+    SUITES,
+    Bench,
+    Group,
+    Suite,
+    run_bench,
+    run_suite,
 )
 from repro.perf.harness import (
     BenchResult,
     ParityError,
-    measure,
-    rss_mb,
+    peak_mb,
+    provenance,
+    time_group,
     write_bench_json,
-)
-from repro.perf.train_bench import (
-    check_fused_gradient_parity,
-    check_parallel_trajectory,
-    run_train_bench,
 )
 
 __all__ = [
     "BenchResult",
     "ParityError",
-    "measure",
-    "rss_mb",
+    "peak_mb",
+    "provenance",
+    "time_group",
     "write_bench_json",
-    "bench_forest",
-    "bench_boosting",
-    "bench_lstm",
-    "bench_datagen",
-    "bench_serve",
-    "run_perf_suite",
-    "run_train_bench",
-    "check_fused_gradient_parity",
-    "check_parallel_trajectory",
+    "SUITES",
+    "Bench",
+    "Group",
+    "Suite",
+    "run_bench",
+    "run_suite",
 ]

@@ -1,113 +1,188 @@
-"""Timing/throughput measurement core for ``repro perf-bench``.
+"""Timing core for ``repro bench``: interleaved repeats, peak memory, JSON.
 
-Deliberately tiny: a bench is any zero-argument callable; :func:`measure`
-runs it ``warmup`` times untimed (JIT-free Python still benefits — caches
-warm, lazy imports resolve, scratch buffers allocate), then ``repeats``
-timed runs, and reports the median (p50) and p95 wall-clock seconds, the
-throughput implied by the median, and the max-RSS growth across the timed
-runs.
+A bench is a zero-argument callable plus the work one call does.
+:func:`time_group` times a group of benches in rotated interleaved
+rounds — every round runs each bench once, and the lead rotates — so
+background-load drift and order effects (boost clocks, allocator and
+cache state) hit every side of a comparison alike.  The collector is
+emptied before each timed call.  Collection cost is part of what a
+bench measures unless ``pause_gc`` is set; comparisons of minima (the
+tracing overhead budget) pause it, so a GC cycle landing in one
+bench's window does not masquerade as its cost.
 
-Results serialize to the committed ``BENCH_*.json`` schema::
+Memory is measured apart from time: :func:`peak_mb` runs one extra,
+*untimed* call under :mod:`tracemalloc` (tracing slows every Python
+allocation, so it never wraps a timed repeat) and reports its peak.
+NumPy buffers are traced; memory allocated in child processes is not.
 
-    {"bench": ..., "config": {...}, "samples_per_s": ...,
-     "p50_s": ..., "p95_s": ..., "rss_mb": ...}
+Results serialize to the committed ``BENCH_<suite>.json`` schema::
 
-so regressions diff as JSON.  RSS uses ``getrusage``'s high-water mark:
-it only ever grows, so the delta is "new peak memory this bench forced",
-not instantaneous usage — 0.0 is the common (good) value for benches that
-reuse scratch buffers.
+    {"header": {"src_sha256": ..., "git_sha": ..., "cpu": ..., ...},
+     "rows": [{"bench": ..., "unit": ..., "work": ..., "per_s": ...,
+               "p50_s": ..., "p95_s": ..., "times_s": [...],
+               "peak_mb": ..., "config": {...}}, ...]}
+
+``per_s`` is ``work / p50_s`` in ``unit``\\ s per second.
 """
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import json
-import resource
-import sys
+import os
+import platform
+import subprocess
 import time
-from dataclasses import asdict, dataclass, field
+import tracemalloc
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["BenchResult", "ParityError", "measure", "write_bench_json", "rss_mb"]
+__all__ = [
+    "BenchResult",
+    "ParityError",
+    "time_group",
+    "peak_mb",
+    "provenance",
+    "write_bench_json",
+]
 
 
 class ParityError(AssertionError):
     """A fast path diverged from its slow reference implementation."""
 
 
-def rss_mb() -> float:
-    """Max resident set size so far, in MiB (Linux reports KiB)."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":        # macOS reports bytes
-        return peak / (1024.0 * 1024.0)
-    return peak / 1024.0
-
-
 @dataclass(frozen=True)
 class BenchResult:
-    """One bench's measurement in the committed JSON schema."""
+    """One bench's measurement: raw per-repeat seconds plus what they did."""
 
     bench: str
+    unit: str                       # what one unit of ``work`` is
+    work: int                       # units of work per call
+    times_s: tuple[float, ...]
+    peak_mb: float = 0.0
     config: dict = field(default_factory=dict)
-    samples_per_s: float = 0.0
-    p50_s: float = 0.0
-    p95_s: float = 0.0
-    rss_mb: float = 0.0
+
+    @property
+    def p50_s(self) -> float:
+        """Median seconds per call."""
+        return float(np.percentile(self.times_s, 50))
+
+    @property
+    def p95_s(self) -> float:
+        """95th-percentile seconds per call."""
+        return float(np.percentile(self.times_s, 95))
+
+    @property
+    def per_s(self) -> float:
+        """Throughput implied by the median, in ``unit``\\ s per second."""
+        p50 = self.p50_s
+        return self.work / p50 if p50 > 0 else float("inf")
 
     def to_dict(self) -> dict:
-        """The result as a plain dict (the BENCH_*.json entry)."""
-        return asdict(self)
+        """The result as a plain dict (one BENCH_*.json row)."""
+        return {
+            "bench": self.bench, "unit": self.unit, "work": self.work,
+            "per_s": self.per_s, "p50_s": self.p50_s, "p95_s": self.p95_s,
+            "times_s": list(self.times_s), "peak_mb": self.peak_mb,
+            "config": dict(self.config),
+        }
 
     def __str__(self) -> str:
-        return (f"{self.bench:<28s} {self.samples_per_s:12.1f}/s  "
+        return (f"{self.bench:<28s} {self.per_s:14.1f} {self.unit}/s  "
                 f"p50 {self.p50_s * 1e3:9.2f} ms  "
                 f"p95 {self.p95_s * 1e3:9.2f} ms  "
-                f"+{self.rss_mb:.1f} MiB")
+                f"peak {self.peak_mb:7.1f} MiB")
 
 
-def measure(
-    fn: Callable[[], object],
-    *,
-    bench: str,
-    n_samples: int,
-    config: dict | None = None,
-    warmup: int = 1,
-    repeats: int = 5,
-) -> BenchResult:
-    """Time ``fn`` and return its :class:`BenchResult`.
+def time_group(fns: list[Callable[[], object]], *, repeats: int,
+               warmup: int = 1, pause_gc: bool = False) -> list[list[float]]:
+    """Time ``fns`` in ``repeats`` rotated interleaved rounds.
 
-    ``n_samples`` is the work per call (rows classified, telemetry
-    samples pushed, jobs generated); throughput is ``n_samples / p50``.
+    Each function first runs ``warmup`` times untimed.  Returns one list
+    of per-repeat seconds per function.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    for _ in range(warmup):
-        fn()
-    rss_before = rss_mb()
-    times = np.empty(repeats)
+    for fn in fns:
+        for _ in range(warmup):
+            fn()
+    times: list[list[float]] = [[] for _ in fns]
+    order = list(range(len(fns)))
     for r in range(repeats):
-        tic = time.perf_counter()
+        offset = r % len(fns)
+        for i in order[offset:] + order[:offset]:
+            gc.collect()
+            if pause_gc:
+                gc.disable()
+            try:
+                tic = time.perf_counter()
+                fns[i]()
+                times[i].append(time.perf_counter() - tic)
+            finally:
+                gc.enable()
+    return times
+
+
+def peak_mb(fn: Callable[[], object]) -> float:
+    """Peak traced allocation (MiB) of one untimed call to ``fn``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
         fn()
-        times[r] = time.perf_counter() - tic
-    rss_after = rss_mb()
-    p50 = float(np.percentile(times, 50))
-    p95 = float(np.percentile(times, 95))
-    return BenchResult(
-        bench=bench,
-        config=dict(config or {}),
-        samples_per_s=float(n_samples / p50) if p50 > 0 else float("inf"),
-        p50_s=p50,
-        p95_s=p95,
-        rss_mb=max(0.0, rss_after - rss_before),
-    )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (1024.0 * 1024.0)
 
 
-def write_bench_json(path: str | Path, results: list[BenchResult]) -> Path:
-    """Write one BENCH_*.json file (a JSON array in the schema above)."""
+def _cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def provenance() -> dict:
+    """Where a BENCH file was measured: code version and machine.
+
+    The code version is a SHA-256 over the package's ``*.py`` files,
+    plus the git commit when the package sits in a checkout (the hash
+    tells an uncommitted tree from its commit).
+    """
+    package = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        digest.update(path.relative_to(package.parent).as_posix().encode())
+        digest.update(path.read_bytes())
+    version = {"src_sha256": digest.hexdigest()}
+    try:
+        version["git_sha"] = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=package, capture_output=True,
+            text=True, timeout=10, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        pass
+    return {
+        **version,
+        "cpu": _cpu_model(),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def write_bench_json(path: str | Path, results: list[BenchResult],
+                     header: dict | None = None) -> Path:
+    """Write one BENCH_*.json file in the schema above."""
     path = Path(path)
-    path.write_text(
-        json.dumps([r.to_dict() for r in results], indent=2) + "\n"
-    )
+    doc = {"header": provenance() if header is None else header,
+           "rows": [r.to_dict() for r in results]}
+    path.write_text(json.dumps(doc, indent=2) + "\n")
     return path

@@ -8,8 +8,8 @@ hit a running job, with the same determinism contract as the rest of
 :mod:`repro.simcluster`: one seed, one stream name, bit-stable events
 regardless of what else draws randomness.
 
-Used by ``repro resilience-bench`` to decide where to SIGKILL a training
-run, and available to the scheduler simulation for failure-aware traces.
+Used by the crash tests to decide where to kill a training run, and
+available to the scheduler simulation for failure-aware traces.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ layers (each its own module):
 On top: :mod:`repro.store.compact` (time-bucketed downsampling with
 retention, preserving full-trace moments), :mod:`repro.store.replay`
 (deterministic re-drive of serve/monitor scenarios at a configurable
-rate), and :mod:`repro.store.bench` (the gated ``repro store-bench``
-suite).
+rate).  ``repro bench store`` times ingest, recovery, replay and
+compaction.
 """
 
 from repro.store.compact import CompactionReport, bucket_means, compact_store

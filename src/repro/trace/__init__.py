@@ -11,10 +11,10 @@ request's trace).  Completed :class:`Span` s land in a bounded
 recovery rule), and :class:`TraceQuery` reconstructs per-request span
 trees, critical paths, and per-stage p50/p95 self-time profiles.
 
-``repro trace-bench`` (:mod:`repro.trace.bench`) gates the subsystem:
-traced and untraced fleets must emit identically (under failover too),
-every completed request's trace must form one connected tree, and
-sampled tracing must cost <5% on the serve hot path.
+The tier-1 tests pin that traced and untraced fleets emit identically
+(under failover too) and that every completed request's trace forms one
+connected tree; ``repro bench trace`` gates sampled tracing at <5% on
+the serve hot path.
 """
 
 from repro.trace.query import TraceQuery

@@ -3,14 +3,14 @@
 :class:`TraceQuery` takes the flat span list a
 :class:`~repro.trace.sink.TraceSink` collected — in whatever interleaved
 order the fleet's components emitted — and rebuilds per-request trees by
-``(trace_id, parent_id)`` alone.  Three questions drive the API, and the
-``repro trace-bench`` gates:
+``(trace_id, parent_id)`` alone.  Three questions drive the API and the
+tracing tests:
 
 * **Connectivity** (:meth:`is_connected`): does the trace form one tree —
   exactly one root, every other span's parent present?  A disconnected
   trace means context propagation dropped somewhere (e.g. across the
-  subprocess pipe), which is the regression the bench's connectivity
-  gate exists to catch.
+  subprocess pipe), which is the regression the connectivity tests
+  exist to catch.
 * **Critical path** (:meth:`critical_path`): root-to-leaf chain through
   the latest-finishing child at each step — where did this request's
   latency actually go?

@@ -18,8 +18,9 @@ Two time bases coexist on purpose:
   emission latencies on the *replay* timeline.
 * ``wall_s`` is real ``time.perf_counter`` compute time spent inside the
   stage.  On a simulated clock every stage of a tick shares one
-  timestamp, so per-stage *profiling* (the p50/p95 self-times reported
-  by ``repro trace-bench``) must come from wall time.
+  timestamp, so per-stage *profiling* (the p50/p95 self-times
+  :meth:`~repro.trace.query.TraceQuery.stage_summary` reports) must come
+  from wall time.
 
 Tracing is sampled at the root, deterministically (a CRC32 of the
 sampling key against the tracer's ``sample`` fraction) — and the *key*

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from repro.fleet import FleetRouter, FleetWorker, SubprocessWorker, WorkerUnavailable
-from repro.fleet.bench import _ThresholdModel
 from repro.fleet.ring import HashRing
+from repro.perf.benches import ThresholdModel
 from repro.resilience.faults import FaultSpec
 from repro.serve import FleetLoadGenerator, ServeConfig, SimulatedClock
 from repro.trace import TraceQuery, TraceSink, Tracer
@@ -45,11 +45,11 @@ def test_subprocess_worker_matches_in_process_twin():
     in_clock = SimulatedClock()
     in_gen = _gen(in_clock)
     in_report = in_gen.run(
-        FleetWorker("w0", _ThresholdModel(), _config(), clock=in_clock))
+        FleetWorker("w0", ThresholdModel(), _config(), clock=in_clock))
 
     sub_clock = SimulatedClock()
     sub_gen = _gen(sub_clock)
-    worker = SubprocessWorker("w0", _ThresholdModel(), _config(),
+    worker = SubprocessWorker("w0", ThresholdModel(), _config(),
                               clock=sub_clock)
     try:
         sub_report = sub_gen.run(worker)
@@ -64,7 +64,7 @@ def test_sigkilled_child_fails_over_with_parity():
     clean_clock = SimulatedClock()
     clean_gen = _gen(clean_clock)
     clean_router = FleetRouter(
-        [FleetWorker(w, _ThresholdModel(), _config(), clock=clean_clock)
+        [FleetWorker(w, ThresholdModel(), _config(), clock=clean_clock)
          for w in ("w0", "w1")],
         clock=clean_clock, history=clean_gen.job_stream,
     )
@@ -76,9 +76,9 @@ def test_sigkilled_child_fails_over_with_parity():
     survivor = "w1" if victim == "w0" else "w0"
     clock = SimulatedClock()
     gen = _gen(clock)
-    sub = SubprocessWorker(victim, _ThresholdModel(), _config(), clock=clock)
+    sub = SubprocessWorker(victim, ThresholdModel(), _config(), clock=clock)
     router = FleetRouter(
-        [sub, FleetWorker(survivor, _ThresholdModel(), _config(), clock=clock)],
+        [sub, FleetWorker(survivor, ThresholdModel(), _config(), clock=clock)],
         clock=clock, history=gen.job_stream,
     )
 
@@ -103,11 +103,11 @@ def test_sigkill_mid_traced_request_marks_span_failed_and_links_failover():
     clock = SimulatedClock()
     gen = _gen(clock)
     sink = TraceSink()
-    sub = SubprocessWorker(victim, _ThresholdModel(), _config(), clock=clock,
+    sub = SubprocessWorker(victim, ThresholdModel(), _config(), clock=clock,
                            trace_sink=sink)
     router = FleetRouter(
         [sub,
-         FleetWorker(survivor, _ThresholdModel(), _config(), clock=clock,
+         FleetWorker(survivor, ThresholdModel(), _config(), clock=clock,
                      tracer=Tracer(sink, component=survivor,
                                    worker_id=survivor))],
         clock=clock, history=gen.job_stream,
@@ -130,7 +130,7 @@ def test_sigkill_mid_traced_request_marks_span_failed_and_links_failover():
     clean_clock = SimulatedClock()
     clean_gen = _gen(clean_clock)
     clean = clean_gen.run(FleetRouter(
-        [FleetWorker(w, _ThresholdModel(), _config(), clock=clean_clock)
+        [FleetWorker(w, ThresholdModel(), _config(), clock=clean_clock)
          for w in ("w0", "w1")],
         clock=clean_clock, history=clean_gen.job_stream,
     ))
@@ -158,7 +158,7 @@ def test_sigkill_mid_traced_request_marks_span_failed_and_links_failover():
 def test_fault_spec_shipped_to_child_sigkills_it():
     clock = SimulatedClock()
     worker = SubprocessWorker(
-        "w0", _ThresholdModel(), _config(), clock=clock,
+        "w0", ThresholdModel(), _config(), clock=clock,
         faults=(FaultSpec("fleet.worker.crash", at_hit=2, mode="kill"),),
     )
     try:

@@ -11,6 +11,7 @@ from repro.fleet import (
     HeartbeatMonitor,
     WorkerUnavailable,
 )
+from repro.perf.benches import ThresholdModel
 from repro.resilience.faults import FaultSpec, inject
 from repro.serve import (
     FleetLoadGenerator,
@@ -20,14 +21,6 @@ from repro.serve import (
     SimulatedClock,
     SubmitResult,
 )
-
-
-class _MeanModel:
-    """Row-independent stub: label = (mean of sensor 0 > 50)."""
-
-    def predict(self, X):
-        X = np.asarray(X)
-        return (X[:, :, 0].mean(axis=1) > 50.0).astype(np.int64)
 
 
 def _series(n_rows, seed=0, n_series=6):
@@ -46,7 +39,7 @@ def _fleet(n_workers, clock, *, history=None, capacity=None, health=None,
            config=None):
     config = config or _config()
     workers = [
-        FleetWorker(f"w{i}", _MeanModel(), config, clock=clock,
+        FleetWorker(f"w{i}", ThresholdModel(), config, clock=clock,
                     capacity_per_step=capacity, heartbeat=health)
         for i in range(n_workers)
     ]
@@ -144,6 +137,65 @@ class TestFailover:
         # must have re-emitted at least one window for them
         assert router.metrics.counter("fleet.predictions.recovered").value >= 1
 
+    def test_killed_replay_is_deterministic_and_shed_free(self):
+        def killed_run():
+            clock = SimulatedClock()
+            gen = _gen(clock)
+            router = _fleet(3, clock, history=gen.job_stream)
+            idx = sorted(router.worker_ids).index(router.owner_of(0))
+            with inject(FaultSpec("fleet.worker.crash", at_hit=3 * 3 + idx + 1,
+                                  mode="raise")):
+                report = gen.run(router)
+            sequence = [(e.job_id, e.prediction.sample_index,
+                         e.prediction.label, e.prediction.smoothed_label,
+                         e.prediction.confidence) for e in report.emissions]
+            timeline = [(ev.at_s, ev.kind, ev.worker_id, ev.n_jobs,
+                         ev.n_recovered) for ev in router.events]
+            shed = router.fleet_metrics().counter("ingress.shed").value
+            return sequence, timeline, shed
+
+        first = killed_run()
+        assert first == killed_run()        # emissions + failover timeline
+        assert first[2] == 0                # lost telemetry voids parity
+        assert [kind for _, kind, *_ in first[1]] == ["failover"]
+
+    def test_failover_parity_with_the_rf_cov_champion(self, labelled_tiny,
+                                                      challenge_suite_tiny):
+        # Parity must hold for the real model, not only the stub: RF+Cov
+        # predicts whole batches, so a rebuilt session that replayed
+        # different windows would change its votes.
+        from repro.models import make_rf_cov
+
+        ds = challenge_suite_tiny["60-random-1"]
+        model = make_rf_cov(n_estimators=5, random_state=0)
+        model.fit(ds.X_train, ds.y_train)
+        series = [t.series for t in labelled_tiny.eligible(ds.n_samples).trials]
+
+        def run(kill):
+            clock = SimulatedClock()
+            gen = FleetLoadGenerator(series, n_jobs=8, samples_per_tick=90,
+                                     max_samples_per_job=1080, seed=3,
+                                     clock=clock)
+            config = ServeConfig(window=ds.n_samples, hop=90)
+            router = FleetRouter(
+                [FleetWorker(f"w{i}", model, config, clock=clock)
+                 for i in range(4)],
+                clock=clock, history=gen.job_stream)
+            idx = sorted(router.worker_ids).index(router.owner_of(0))
+            spec = FaultSpec("fleet.worker.crash",
+                             at_hit=(6 * 4 + idx + 1) if kill else 10**9,
+                             mode="raise")
+            with inject(spec):
+                report = gen.run(router)
+            return report, router
+
+        clean, _ = run(kill=False)
+        killed, router = run(kill=True)
+        assert len(clean.emissions) >= 8 * 6
+        assert _trace(killed.emissions) == _trace(clean.emissions)
+        assert router.metrics.counter("fleet.failovers").value == 1
+        assert router.metrics.counter("fleet.predictions.recovered").value >= 1
+
     def test_failover_without_history_restarts_cold(self):
         clock = SimulatedClock()
         gen = _gen(clock)
@@ -174,7 +226,7 @@ class TestMembership:
         def on_tick(tick, emissions):
             if tick == 4:
                 # "w3" verifiably claims jobs {1, 3} on this ring layout
-                worker = FleetWorker("w3", _MeanModel(), _config(),
+                worker = FleetWorker("w3", ThresholdModel(), _config(),
                                      clock=clock)
                 moved.extend(router.add_worker(worker))
 
@@ -216,7 +268,7 @@ class TestMembership:
         clock = SimulatedClock()
         router = _fleet(2, clock)
         with pytest.raises(ValueError, match="duplicate|already"):
-            router.add_worker(FleetWorker("w0", _MeanModel(), _config(),
+            router.add_worker(FleetWorker("w0", ThresholdModel(), _config(),
                                           clock=clock))
 
 
@@ -355,6 +407,64 @@ class TestAutoscaler:
         with pytest.raises(ValueError, match="low_queue_per_worker"):
             AutoscaleConfig(high_queue_per_worker=1.0,
                             low_queue_per_worker=2.0)
+
+
+class TestCapacityModel:
+    """The scaling claim on the simulated clock: with per-worker serving
+    capacity fixed, goodput (windows emitted inside the replay horizon,
+    not in the final drain) grows near-linearly with the worker count."""
+
+    def _goodput(self, n_workers):
+        clock = SimulatedClock()
+        gen = _gen(clock, n_jobs=24, rows=1800, seed=2022)
+        router = _fleet(n_workers, clock, history=gen.job_stream, capacity=4)
+        emitted = []
+        gen.run(router, on_tick=lambda tick, em: emitted.extend(em))
+        return len(emitted)
+
+    def test_goodput_at_4_workers_is_3x_one_worker(self):
+        one, four = self._goodput(1), self._goodput(4)
+        assert one > 0
+        assert four >= 3.0 * one
+
+    def test_autoscaled_replay_emits_every_window_exactly_once(self):
+        clock = SimulatedClock()
+        gen = _gen(clock, n_jobs=24, rows=1800, seed=2022)
+
+        def spawn(worker_id):
+            return FleetWorker(worker_id, ThresholdModel(), _config(),
+                               clock=clock, capacity_per_step=4)
+
+        router = FleetRouter([spawn("w0")], clock=clock,
+                             history=gen.job_stream)
+        scaler = Autoscaler(router, spawn, config=AutoscaleConfig(
+            min_workers=1, max_workers=4, high_queue_per_worker=8.0,
+            low_queue_per_worker=1.0, for_ticks=2, cooldown_ticks=3))
+        peak = [1]
+
+        def on_tick(tick, emissions):
+            scaler.tick()
+            peak.append(router.n_workers)
+
+        load = gen.run(router, end_sessions=False, on_tick=on_tick)
+        shed = router.fleet_metrics().counter("ingress.shed").value
+        # the load is gone: idle ticks must shrink the fleet back
+        for _ in range(40):
+            router.step()
+            scaler.tick()
+            clock.advance(gen.tick_s)
+            if router.n_workers == 1:
+                break
+        actions = [d.action for d in scaler.decisions]
+        assert "scale-up" in actions and "scale-down" in actions
+        assert max(peak) <= 4 and router.n_workers == 1
+        assert shed == 0
+        emitted = sorted((e.job_id, e.prediction.sample_index)
+                         for e in load.emissions)
+        expected = sorted(
+            (job, (k + 1) * 90) for job in range(gen.n_jobs)
+            for k in range(gen.job_stream(job).shape[0] // 90))
+        assert emitted == expected
 
 
 class TestMetricsMerge:

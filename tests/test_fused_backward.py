@@ -2,11 +2,11 @@
 
 Every layer with a fused backward (``Linear``, ``Conv1d``, ``MaxPool1d``,
 ``LSTM``, ``BiLSTM``) keeps its pre-fusion autograd path behind
-``fused_backward = False``.  These tests pin the contract the perf gates
-rely on: same inputs and cotangents ⇒ *bit-identical* gradients, for
-hand-picked shapes and hypothesis-drawn ones; the persistent gradient
-buffer never aliases caller arrays; and the Adam fast path reproduces the
-legacy allocating update exactly.
+``fused_backward = False``.  These tests pin the contract: same inputs
+and cotangents ⇒ *bit-identical* gradients, for hand-picked shapes and
+hypothesis-drawn ones, and a two-epoch whole-model trajectory; the
+persistent gradient buffer never aliases caller arrays; and the Adam
+fast path reproduces the legacy allocating update exactly.
 """
 
 import numpy as np
@@ -184,8 +184,30 @@ class TestAdamFastPath:
 class TestWholeModelParity:
     def test_two_epoch_trajectory(self):
         # The composition gate: all-fused vs all-slow training must walk
-        # the same trajectory bit for bit.  (Mirrors the perf-suite gate
-        # so a fused regression fails the unit tests too.)
-        from repro.perf.train_bench import _whole_model_parity
+        # the same trajectory (losses, accuracies, learning rates, final
+        # parameters) bit for bit.
+        from repro.models import LSTMClassifier
+        from repro.nn import NLLLoss, Trainer
 
-        _whole_model_parity(seed=0)
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((64, 20, 7)).astype(np.float32)
+        y = rng.integers(0, 5, size=64).astype(np.int64)
+        runs = {}
+        for fused in (True, False):
+            model = LSTMClassifier(n_sensors=7, seq_len=20, n_classes=5,
+                                   hidden_size=16, dropout=0.5, seed=0)
+            for m in model.modules():
+                if hasattr(m, "fused_backward"):
+                    m.fused_backward = fused
+            trainer = Trainer(model, Adam(model.parameters(), lr=1e-3),
+                              NLLLoss(), batch_size=16, max_epochs=2,
+                              patience=100, shuffle_rng=0)
+            hist = trainer.fit(X, y, X[:16], y[:16])
+            runs[fused] = (
+                [(e.epoch, e.train_loss, e.val_accuracy, e.lr)
+                 for e in hist.epochs],
+                {n: p.data.copy() for n, p in model.named_parameters()},
+            )
+        assert runs[True][0] == runs[False][0]
+        for name, value in runs[True][1].items():
+            assert np.array_equal(value, runs[False][1][name]), name

@@ -20,7 +20,17 @@ from repro.nn import BiLSTM, LSTM, Tensor
 from repro.nn.layers.conv import Conv1d, MaxPool1d
 from repro.nn.layers.rnn import _sigmoid
 from repro.nn.tensor import is_grad_enabled, no_grad
-from repro.perf.harness import BenchResult, measure, write_bench_json
+from repro.perf import (
+    SUITES,
+    Bench,
+    BenchResult,
+    Group,
+    Suite,
+    run_suite,
+    time_group,
+    write_bench_json,
+)
+from repro.perf.benches import MeanSignModel
 from repro.serve.batcher import MicroBatcher
 from repro.serve.session import StreamSession
 from repro.simcluster.sensors import N_GPU_SENSORS
@@ -214,11 +224,6 @@ class TestFlatForest:
 # ----------------------------------------------------------------------
 # Zero-copy serving
 # ----------------------------------------------------------------------
-class _MeanSignModel:
-    def predict(self, X):
-        return (X.mean(axis=(1, 2)) > 0.0).astype(np.int64)
-
-
 class TestZeroCopyServing:
     def test_ring_windows_match_raw_stream(self):
         window, hop, total = 24, 6, 24 + 5 * 6
@@ -254,7 +259,7 @@ class TestZeroCopyServing:
             assert np.array_equal(req.window, expected)
 
     def test_batcher_scratch_is_reused_not_aliased(self):
-        model = _MeanSignModel()
+        model = MeanSignModel()
         batcher = MicroBatcher(model, max_batch=3, max_delay_s=10.0)
         rng = np.random.default_rng(3)
 
@@ -281,7 +286,7 @@ class TestZeroCopyServing:
         assert [c.label for c in done_b] == expect_b
 
     def test_scratch_rebuilds_on_geometry_change(self):
-        batcher = MicroBatcher(_MeanSignModel(), max_batch=2, max_delay_s=10.0)
+        batcher = MicroBatcher(MeanSignModel(), max_batch=2, max_delay_s=10.0)
         small = [np.ones((4, 3), dtype=np.float32)] * 2
         big = [np.ones((6, 3), dtype=np.float32)]
         assert batcher._assemble(small).shape == (2, 4, 3)
@@ -321,35 +326,102 @@ class TestParallelDatagen:
 # perf harness
 # ----------------------------------------------------------------------
 class TestPerfHarness:
-    def test_measure_schema(self):
+    ROW_FIELDS = {"bench", "unit", "work", "per_s", "p50_s", "p95_s",
+                  "times_s", "peak_mb", "config"}
+
+    def test_row_schema(self):
+        row = BenchResult(bench="noop", unit="rows", work=10,
+                          times_s=(0.2, 0.1, 0.4), config={"k": 1}).to_dict()
+        assert set(row) == self.ROW_FIELDS
+        assert row["times_s"] == [0.2, 0.1, 0.4]
+        assert row["p50_s"] == 0.2 and row["p95_s"] >= row["p50_s"]
+        assert row["per_s"] == pytest.approx(50.0)
+
+    def test_time_group_rotates_interleaved_rounds(self):
         calls = []
-        result = measure(lambda: calls.append(1), bench="noop",
-                         n_samples=10, config={"k": 1},
-                         warmup=2, repeats=3)
-        assert len(calls) == 5
-        assert result.bench == "noop"
-        assert result.p50_s >= 0 and result.p95_s >= result.p50_s
-        assert result.samples_per_s > 0
-        d = result.to_dict()
-        assert set(d) == {"bench", "config", "samples_per_s",
-                          "p50_s", "p95_s", "rss_mb"}
+        times = time_group([lambda: calls.append("a"),
+                            lambda: calls.append("b")],
+                           repeats=3, warmup=1)
+        assert calls == ["a", "b", "a", "b", "b", "a", "a", "b"]
+        assert [len(t) for t in times] == [3, 3]
+        assert all(s >= 0 for t in times for s in t)
 
     def test_write_bench_json(self, tmp_path):
         import json
 
         path = write_bench_json(
             tmp_path / "BENCH_x.json",
-            [BenchResult(bench="a", samples_per_s=1.0,
-                         p50_s=0.1, p95_s=0.2, rss_mb=0.0)],
+            [BenchResult(bench="a", unit="rows", work=1, times_s=(0.1,))],
         )
-        data = json.loads(path.read_text())
-        assert data[0]["bench"] == "a"
-        assert data[0]["p95_s"] == 0.2
+        doc = json.loads(path.read_text())
+        assert set(doc["rows"][0]) == self.ROW_FIELDS
+        header = doc["header"]
+        assert {"src_sha256", "cpu", "nproc", "python", "numpy"} <= set(header)
 
-    def test_cli_has_perf_bench(self):
+    def test_registry_files_injective_and_names_unique(self):
+        files = [suite.file for suite in SUITES.values()]
+        assert len(set(files)) == len(files) == 6
+        names = [n for suite in SUITES.values() for n in suite.benches]
+        assert len(set(names)) == len(names)
+
+    def test_peak_mb_sees_a_32_mib_allocation(self, monkeypatch):
+        def build(quick):
+            yield Group([Bench("alloc", lambda: np.ones(4 * 1024 * 1024),
+                               4 * 1024 * 1024, "floats")], repeats=2)
+
+        monkeypatch.setitem(SUITES, "serve", Suite("serve", ("alloc",), build))
+        (row,), failures = run_suite("serve", quick=True)
+        assert failures == []
+        assert row.peak_mb >= 32.0
+        assert len(row.times_s) == 2
+
+    def test_diverging_fast_path_exits_nonzero(self, monkeypatch, tmp_path):
+        def slow():
+            return np.arange(8.0)
+
+        def fast():
+            return np.arange(8.0) + 1e-12
+
+        def build(quick):
+            yield Group([
+                Bench("x.slow", slow, 8, "rows"),
+                Bench("x.fast", fast, 8, "rows",
+                      parity=lambda: np.array_equal(slow(), fast())),
+            ], repeats=1)
+
+        monkeypatch.setitem(SUITES, "serve",
+                            Suite("serve", ("x.slow", "x.fast"), build))
+        from repro.cli import main
+
+        assert main(["bench", "serve", "--quick",
+                     "--out-dir", str(tmp_path)]) == 1
+        assert not (tmp_path / "BENCH_serve.json").exists()
+
+    def test_failed_trace_overhead_gate_exits_nonzero(self, monkeypatch,
+                                                     tmp_path, capsys):
+        # Sampled tracing reads 10% slower than untraced in every round,
+        # so the re-measures cannot clear the 5% budget.
+        import repro.perf.benches as benches
+        from repro.cli import main
+
+        def slow_second(fns, *, repeats, warmup=1, pause_gc=False):
+            return [[1.1 if i == 1 else 1.0] * repeats
+                    for i in range(len(fns))]
+
+        monkeypatch.setattr(benches, "time_group", slow_second)
+        assert main(["bench", "trace", "--quick",
+                     "--out-dir", str(tmp_path)]) == 1
+        assert "trace.overhead.sampled +10.00%" in capsys.readouterr().err
+        assert (tmp_path / "BENCH_trace.json").exists()
+
+    def test_cli_bench_parser(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["perf-bench", "--scale", "0.01", "--out-dir", "/tmp/x"])
-        assert args.command == "perf-bench"
-        assert args.scale == 0.01
+        parser = build_parser()
+        args = parser.parse_args(
+            ["bench", "train", "store", "--quick", "--out-dir", "/tmp/x"])
+        assert (args.command, args.suites, args.quick, args.out_dir) == (
+            "bench", ["train", "store"], True, "/tmp/x")
+        assert parser.parse_args(["bench"]).suites == []
+        with pytest.raises(SystemExit):
+            parser.parse_args(["bench", "nope"])

@@ -19,14 +19,14 @@ from repro.nn.training import (
     save_checkpoint,
 )
 from repro.resilience import FaultSpec, InjectedFault, inject
-from repro.resilience.bench import (
-    _StubModel,
-    _build_trainer,
-    _crash_registry_worker,
-    _crash_training_worker,
-    _run_to_sigkill,
-)
 from repro.serve.registry import ModelRegistry
+from tests.crash_workers import (
+    StubModel,
+    build_trainer,
+    crash_registry_worker,
+    crash_training_worker,
+    run_to_sigkill,
+)
 
 # Tiny synthetic problem: 24 samples, 6 timesteps, 3 sensors, 3 classes,
 # batch 8 -> 3 batches/epoch.  Small enough for subprocess SIGKILL tests
@@ -36,7 +36,7 @@ _BATCHES_PER_EPOCH = 3
 
 
 def _tiny_payload(max_epochs=5, **overrides):
-    """Trainer payload + data for repro.resilience.bench._build_trainer."""
+    """Trainer payload + data for tests.crash_workers.build_trainer."""
     rng = np.random.default_rng(0)
     payload = {
         "n_sensors": _D,
@@ -67,7 +67,7 @@ def _interrupted_then_resumed(payload, kill_hits, ckpt, *,
                               checkpoint_every=1):
     """Fit with in-process injected kills at ``kill_hits``; resume after
     each; return the final (stitched) history and surviving trainer."""
-    trainer = _build_trainer(payload)
+    trainer = build_trainer(payload)
     for hit in kill_hits:
         with inject(FaultSpec("trainer.mid_epoch", at_hit=hit, mode="raise")):
             with pytest.raises(InjectedFault):
@@ -77,7 +77,7 @@ def _interrupted_then_resumed(payload, kill_hits, ckpt, *,
                 else:
                     trainer.fit(*_data(payload), checkpoint_path=str(ckpt),
                                 checkpoint_every=checkpoint_every)
-        trainer = _build_trainer(payload)  # fresh process equivalent
+        trainer = build_trainer(payload)  # fresh process equivalent
     if ckpt.is_file():
         history = trainer.resume(str(ckpt), *_data(payload),
                                  checkpoint_every=checkpoint_every)
@@ -94,7 +94,7 @@ def _hit(kill_epoch, start_epoch=0, batch=2):
 
 class TestCheckpointFile:
     def _checkpoint(self, payload, ckpt_path):
-        trainer = _build_trainer(payload)
+        trainer = build_trainer(payload)
         trainer.fit(*_data(payload), checkpoint_path=str(ckpt_path))
         return load_checkpoint(ckpt_path)
 
@@ -136,7 +136,7 @@ class TestCheckpointFile:
 
     def test_forward_rng_mismatch_raises(self):
         payload = _tiny_payload()
-        model = _build_trainer(payload).model
+        model = build_trainer(payload).model
         states = collect_forward_rng_states(model)
         assert states  # the LSTM classifier has at least one dropout RNG
         with pytest.raises(KeyError, match="RNG module mismatch"):
@@ -147,7 +147,7 @@ class TestResumeBitIdentical:
     @pytest.mark.parametrize("kill_epoch", [2, 4])
     def test_single_preemption(self, tmp_path, kill_epoch):
         payload = _tiny_payload()
-        fault_free = _build_trainer(payload)
+        fault_free = build_trainer(payload)
         history_free = fault_free.fit(*_data(payload))
 
         history, survivor = _interrupted_then_resumed(
@@ -161,7 +161,7 @@ class TestResumeBitIdentical:
         # Dying in epoch 1 leaves no checkpoint; a fresh fit must still
         # reproduce the fault-free history (all state rebuilds from seeds).
         payload = _tiny_payload()
-        history_free = _build_trainer(payload).fit(*_data(payload))
+        history_free = build_trainer(payload).fit(*_data(payload))
         history, _ = _interrupted_then_resumed(
             payload, [_hit(1)], tmp_path / "t.ckpt"
         )
@@ -170,7 +170,7 @@ class TestResumeBitIdentical:
     def test_chained_preemptions(self, tmp_path):
         # Die at epoch 2, resume, die again at epoch 4, resume, finish.
         payload = _tiny_payload(max_epochs=6)
-        history_free = _build_trainer(payload).fit(*_data(payload))
+        history_free = build_trainer(payload).fit(*_data(payload))
         # Second kill happens inside a resume from epoch 2's checkpoint.
         hits = [_hit(2), _hit(4, start_epoch=2)]
         history, _ = _interrupted_then_resumed(
@@ -182,12 +182,48 @@ class TestResumeBitIdentical:
         # checkpoint_every=2: a kill in epoch 5 resumes from epoch 4's
         # checkpoint and replays nothing it shouldn't.
         payload = _tiny_payload(max_epochs=6)
-        history_free = _build_trainer(payload).fit(*_data(payload))
+        history_free = build_trainer(payload).fit(*_data(payload))
         history, _ = _interrupted_then_resumed(
             payload, [_hit(5)], tmp_path / "t.ckpt", checkpoint_every=2
         )
         assert history_free.matches(history)
         assert load_checkpoint(tmp_path / "t.ckpt").epoch == 6  # stop epoch
+
+    def test_preemptions_sampled_from_the_cluster_failure_process(
+            self, tmp_path):
+        # The simulated cluster's failure process picks the kill epochs;
+        # each incarnation dies mid-epoch and the next resumes from the
+        # checkpoint.  History, weights and final accuracy all match.
+        from repro.simcluster.preemption import PreemptionProcess
+
+        payload = _tiny_payload()
+        fault_free = build_trainer(payload)
+        history_free = fault_free.fit(*_data(payload))
+        kill_epochs = PreemptionProcess(
+            2.0, seed=2022, job="resilience").kill_epochs(5, epoch_s=1.0)
+        ckpt = tmp_path / "t.ckpt"
+        deaths = 0
+        for kill_epoch in kill_epochs:
+            start = load_checkpoint(ckpt).epoch if ckpt.is_file() else 0
+            if kill_epoch <= start:
+                continue
+            trainer = build_trainer(payload)
+            with inject(FaultSpec("trainer.mid_epoch",
+                                  at_hit=_hit(kill_epoch, start),
+                                  mode="raise")):
+                with pytest.raises(InjectedFault):
+                    if ckpt.is_file():
+                        trainer.resume(str(ckpt), *_data(payload))
+                    else:
+                        trainer.fit(*_data(payload), checkpoint_path=str(ckpt))
+            deaths += 1
+        survivor = build_trainer(payload)
+        history = survivor.resume(str(ckpt), *_data(payload))
+        assert deaths >= 2
+        assert history_free.matches(history)
+        X_val, y_val = payload["X_val"], payload["y_val"]
+        assert (survivor.evaluate_accuracy(X_val, y_val)
+                == fault_free.evaluate_accuracy(X_val, y_val))
 
     @settings(max_examples=6, deadline=None)
     @given(kill_epoch=st.integers(2, 5), batch=st.integers(1, 3))
@@ -196,7 +232,7 @@ class TestResumeBitIdentical:
         # Property: wherever the kill lands (any epoch, any batch), the
         # stitched history equals the uninterrupted one bit for bit.
         payload = _tiny_payload()
-        history_free = _build_trainer(payload).fit(*_data(payload))
+        history_free = build_trainer(payload).fit(*_data(payload))
         workdir = tmp_path_factory.mktemp("resume-prop")
         history, _ = _interrupted_then_resumed(
             payload, [_hit(kill_epoch, batch=batch)], workdir / "t.ckpt"
@@ -209,27 +245,27 @@ class TestSigkillSubprocess:
         # A real SIGKILL (no unwinding, no atexit) mid-epoch 3; the parent
         # resumes from the surviving checkpoint.
         payload = _tiny_payload()
-        history_free = _build_trainer(payload).fit(*_data(payload))
+        history_free = build_trainer(payload).fit(*_data(payload))
 
         ckpt = tmp_path / "t.ckpt"
         child = dict(payload)
         child.update({"checkpoint_path": str(ckpt), "resume": False,
                       "kill_hit": _hit(3)})
-        assert _run_to_sigkill(_crash_training_worker, child, timeout_s=120.0)
+        assert run_to_sigkill(crash_training_worker, child, timeout_s=120.0)
         assert load_checkpoint(ckpt).epoch == 2
 
-        survivor = _build_trainer(payload)
+        survivor = build_trainer(payload)
         history = survivor.resume(str(ckpt), *_data(payload))
         assert history_free.matches(history)
 
     def test_save_model_sigkilled_mid_write_serves_prior_version(self, tmp_path):
         root = tmp_path / "registry"
         registry = ModelRegistry(root)
-        registry.register("clf", _StubModel(1, b"a" * 2048), version=1)
+        registry.register("clf", StubModel(1, b"a" * 2048), version=1)
 
-        died = _run_to_sigkill(_crash_registry_worker, {
+        died = run_to_sigkill(crash_registry_worker, {
             "root": str(root), "op": "register", "name": "clf", "version": 2,
-            "point": "persist.mid_write", "model": _StubModel(2, b"b" * 2048),
+            "point": "persist.mid_write", "model": StubModel(2, b"b" * 2048),
         }, timeout_s=120.0)
         assert died
 
@@ -243,11 +279,11 @@ class TestSigkillSubprocess:
     def test_set_active_sigkilled_before_flip_keeps_old_pointer(self, tmp_path):
         root = tmp_path / "registry"
         registry = ModelRegistry(root)
-        registry.register("clf", _StubModel(1), version=1)
-        registry.register("clf", _StubModel(2), version=2)
+        registry.register("clf", StubModel(1), version=1)
+        registry.register("clf", StubModel(2), version=2)
         registry.set_active("clf", 1)
 
-        died = _run_to_sigkill(_crash_registry_worker, {
+        died = run_to_sigkill(crash_registry_worker, {
             "root": str(root), "op": "set_active", "name": "clf", "version": 2,
             "point": "registry.before_active_flip",
         }, timeout_s=120.0)
@@ -260,14 +296,14 @@ class TestSigkillSubprocess:
     def test_warm_lru_coherent_across_writer_crash(self, tmp_path):
         root = tmp_path / "registry"
         registry = ModelRegistry(root)
-        registry.register("clf", _StubModel(1, b"a" * 2048), version=1)
+        registry.register("clf", StubModel(1, b"a" * 2048), version=1)
         registry.set_active("clf", 1)
         assert registry.get_active("clf").version == 1  # warm the LRU
         assert registry.warm_count == 1
 
-        assert _run_to_sigkill(_crash_registry_worker, {
+        assert run_to_sigkill(crash_registry_worker, {
             "root": str(root), "op": "register", "name": "clf", "version": 2,
-            "point": "persist.mid_write", "model": _StubModel(2, b"b" * 2048),
+            "point": "persist.mid_write", "model": StubModel(2, b"b" * 2048),
         }, timeout_s=120.0)
 
         # The crashed writer never produced v2, so the warm copy of v1 is
@@ -278,7 +314,7 @@ class TestSigkillSubprocess:
 
         # Once a healthy writer lands v2 and promotes it, the cache keyed
         # by (name, version) serves the new model — no stale v1 answer.
-        registry.register("clf", _StubModel(2, b"b" * 2048), version=2)
+        registry.register("clf", StubModel(2, b"b" * 2048), version=2)
         registry.set_active("clf", 2)
         assert registry.get_active("clf").version == 2
         # v1 stays warm under its own key, coherent for pinned readers.
@@ -288,7 +324,7 @@ class TestSigkillSubprocess:
 class TestStateDictRoundTrips:
     def _model_pair(self):
         payload = _tiny_payload()
-        return _build_trainer(payload).model, _build_trainer(payload).model
+        return build_trainer(payload).model, build_trainer(payload).model
 
     def test_named_modules_prefixes_cover_parameters(self):
         model, _ = self._model_pair()
@@ -377,6 +413,6 @@ class TestStateDictRoundTrips:
         assert opt_a.lr == opt_b.lr
 
     def test_sigkill_exitcode_contract(self):
-        # _run_to_sigkill distinguishes a SIGKILL death from a clean exit;
+        # run_to_sigkill distinguishes a SIGKILL death from a clean exit;
         # guard the sign convention the crash tests above rely on.
         assert -signal.SIGKILL == -9

@@ -231,6 +231,17 @@ class TestRegistryLatestMemoAndActivePointer:
         registry.invalidate("m")
         assert registry.active_version("m") == 2
 
+    def test_garbled_active_pointer_warns_and_serves_latest(self, tmp_path):
+        registry = ModelRegistry(tmp_path)
+        registry.register("m", _ConstantModel())
+        registry.register("m", _ConstantModel())
+        registry.set_active("m", 1)
+        (tmp_path / "m" / "ACTIVE").write_text("###garbage###\n")
+        fresh = ModelRegistry(tmp_path)
+        with pytest.warns(UserWarning, match="garbled"):
+            assert fresh.active_version("m") == 2
+            assert fresh.get_active("m") is fresh.get("m", version=2)
+
 
 class TestOnlineClassifierMonitorHook:
     def test_monitor_sees_every_row(self):

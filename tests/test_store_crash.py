@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.resilience import FaultSpec, InjectedFault, inject
-from repro.resilience.bench import _run_to_sigkill
 from repro.store import TelemetryStore
-from repro.store.bench import (
-    _committed_trials,
-    _crash_payload,
-    _crash_store_worker,
-    _victim_trial,
+from tests.crash_workers import (
+    committed_trials,
+    crash_store_worker,
+    run_to_sigkill,
+    victim_trial,
 )
 
 
@@ -85,7 +84,8 @@ class TestInProcessFaults:
 # wal.append hits once per record per commit: the workers durably commit
 # two trials first, so hit 3 lands mid-frame in the victim's commit.
 # Kills during the flush sequence lose nothing — the flush group-commits
-# the victim to the WAL before sealing (see repro.store.bench).
+# the victim to the WAL before sealing, and the WAL survives until the
+# manifest swap lands.
 _SIGKILL_SCENARIOS = [
     ("store.wal.append", 3, False),
     ("store.segment.finalize", 1, True),
@@ -96,18 +96,18 @@ _SIGKILL_SCENARIOS = [
 class TestSigkilledWriter:
     """Real SIGKILLed subprocesses at each store.* durability point."""
 
-    @pytest.mark.parametrize("point,at_hit,victim_survives", _SIGKILL_SCENARIOS)
-    def test_reopen_serves_committed_prefix(self, tmp_path, point, at_hit,
-                                            victim_survives):
-        survivors = list(_committed_trials())
+    def _kill_and_reopen(self, tmp_path, point, at_hit, victim_survives,
+                         n_shards):
+        survivors = list(committed_trials())
         if victim_survives:
-            survivors.append(_victim_trial())
+            survivors.append(victim_trial())
         root = tmp_path / "s"
-        killed = _run_to_sigkill(
-            _crash_store_worker, _crash_payload(root, point, at_hit, 2)
-        )
+        killed = run_to_sigkill(crash_store_worker, {
+            "root": str(root), "point": point, "at_hit": at_hit,
+            "n_shards": n_shards,
+        })
         assert killed, f"worker survived fault at {point}"
-        with TelemetryStore(root, n_shards=2) as store:
+        with TelemetryStore(root, n_shards=n_shards) as store:
             assert store.keys() == [(j, 0) for j, _ in survivors]
             for job_id, series in survivors:
                 np.testing.assert_array_equal(store.series(job_id), series)
@@ -115,6 +115,16 @@ class TestSigkilledWriter:
             store.gc_stray()
             for job_id, series in survivors:
                 np.testing.assert_array_equal(store.series(job_id), series)
+
+    @pytest.mark.parametrize("point,at_hit,victim_survives", _SIGKILL_SCENARIOS)
+    def test_reopen_serves_committed_prefix(self, tmp_path, point, at_hit,
+                                            victim_survives):
+        self._kill_and_reopen(tmp_path, point, at_hit, victim_survives, 2)
+
+    @pytest.mark.parametrize("point,at_hit,victim_survives", _SIGKILL_SCENARIOS)
+    def test_single_shard_reopen_serves_committed_prefix(
+            self, tmp_path, point, at_hit, victim_survives):
+        self._kill_and_reopen(tmp_path, point, at_hit, victim_survives, 1)
 
 
 class TestRoundTripProperty:

@@ -7,18 +7,11 @@ import numpy as np
 import pytest
 
 from repro.monitor.inject import DriftInjection
+from repro.perf.benches import MeanSignModel
 from repro.serve.loadgen import FleetLoadGenerator
 from repro.serve.server import ServeConfig
 from repro.simcluster.workload import DEFAULT_DT_S
 from repro.store import ReplayConfig, Replayer, TelemetryStore
-
-
-class _MeanSignModel:
-    """Deterministic near-free model: label 1 where the grand mean > 0."""
-
-    def predict(self, X):
-        X = np.asarray(X)
-        return (X.mean(axis=(1, 2)) > 0).astype(np.int64)
 
 
 def _filled_store(root, n_shards=2, n_jobs=6, n=700):
@@ -42,7 +35,7 @@ def _trace(store, rate=1.0, drift=None):
         n_jobs=_REPLAY.n_jobs, samples_per_tick=_REPLAY.samples_per_tick,
         min_samples=_REPLAY.min_samples, seed=_REPLAY.seed, rate=rate,
     ))
-    report = replayer.run(_MeanSignModel(), serve_config=_SERVE, drift=drift)
+    report = replayer.run(MeanSignModel(), serve_config=_SERVE, drift=drift)
     return [
         (e.job_id, int(e.prediction.label), int(e.prediction.smoothed_label))
         for e in report.emissions
@@ -74,10 +67,10 @@ class TestReplayDeterminism:
                 n_jobs=6, min_samples=540, samples_per_tick=90, rate=4.0))
             gen = replayer.loadgen()
             assert gen.tick_s == pytest.approx(90 * DEFAULT_DT_S / 4.0)
-            report = replayer.run(_MeanSignModel(), serve_config=_SERVE)
+            report = replayer.run(MeanSignModel(), serve_config=_SERVE)
             base = Replayer(store, ReplayConfig(
                 n_jobs=6, min_samples=540, samples_per_tick=90, rate=1.0,
-            )).run(_MeanSignModel(), serve_config=_SERVE)
+            )).run(MeanSignModel(), serve_config=_SERVE)
             assert report.n_predictions == base.n_predictions
             assert report.sim_seconds == pytest.approx(base.sim_seconds / 4.0)
 
@@ -148,3 +141,48 @@ class TestSimulateIntoStore:
                     )
             # Already sealed: the ingest flushed before generate returned.
             assert store.stats()["wal_resident_trials"] == 0
+
+    def test_replayed_windows_and_compacted_moments_match_raw_rows(
+            self, tmp_path, tiny_sim_config):
+        from repro.data.fulltrace import full_trace_covariance
+        from repro.serve.session import StreamSession
+        from repro.simcluster.cluster import ClusterSimulator
+        from repro.store.compact import compact_store
+
+        jobs, _ = ClusterSimulator(tiny_sim_config).generate()
+        raw = {(job.record.job_id, gs.gpu_index):
+               np.asarray(gs.data, dtype=np.float32)
+               for job in jobs for gs in job.gpu_series}
+        window, hop = 540, 90
+        mean, scale = np.zeros(7), np.ones(7)
+        features = {key: full_trace_covariance(rows, mean, scale)
+                    for key, rows in raw.items()}
+
+        def assert_moments_match(store):
+            for key, want in features.items():
+                np.testing.assert_allclose(
+                    store.moments(*key).standardized_covariance(mean, scale),
+                    want, rtol=1e-8, atol=1e-10)
+
+        with TelemetryStore(tmp_path / "s", n_shards=2) as store:
+            store.ingest(jobs)
+            # every window a session cuts from the stored rows is the
+            # matching raw slice of the simulator's series
+            long_keys = [k for k, rows in raw.items() if len(rows) >= window]
+            assert long_keys
+            for key in long_keys[:8]:
+                stream = store.series(*key)
+                session = StreamSession(session_id=key, window=window, hop=hop)
+                for start in range(0, len(stream), hop):
+                    for req in session.push(stream[start:start + hop]):
+                        end = req.sample_index
+                        np.testing.assert_array_equal(
+                            req.window, raw[key][end - window:end])
+            # compaction drops rows but keeps full-trace features exact
+            rows_before = store.total_rows()
+            assert compact_store(store, bucket=10,
+                                 keep_segments=0).segments_compacted > 0
+            assert store.total_rows() < rows_before
+            assert_moments_match(store)
+        with TelemetryStore(tmp_path / "s") as store:
+            assert_moments_match(store)

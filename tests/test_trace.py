@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from repro.fleet import FleetRouter, FleetWorker
-from repro.fleet.bench import _ThresholdModel
 from repro.fleet.health import HeartbeatMonitor
+from repro.perf.benches import ThresholdModel
 from repro.resilience.faults import FaultSpec, InjectedFault, inject
 from repro.serve import FleetLoadGenerator, ServeConfig, SimulatedClock
 from repro.serve.server import InferenceServer
@@ -208,7 +208,7 @@ class TestServeTracing:
                                  max_samples_per_job=270, seed=3, clock=clock)
         sink = TraceSink() if traced else None
         server = InferenceServer(
-            _ThresholdModel(),
+            ThresholdModel(),
             ServeConfig(window=90, hop=90, flush_deadline_s=0.0),
             clock=clock,
             tracer=Tracer(sink, component="srv", worker_id="srv")
@@ -239,7 +239,7 @@ class TestServeTracing:
     def test_server_without_tracer_accepts_trace_contexts(self):
         clock = SimulatedClock()
         server = InferenceServer(
-            _ThresholdModel(),
+            ThresholdModel(),
             ServeConfig(window=90, hop=90, flush_deadline_s=0.0),
             clock=clock,
         )
@@ -251,7 +251,7 @@ class TestServeTracing:
         sink = TraceSink()
         clock = SimulatedClock()
         server = InferenceServer(
-            _ThresholdModel(),
+            ThresholdModel(),
             ServeConfig(window=90, hop=90, flush_deadline_s=0.0),
             clock=clock, tracer=Tracer(sink, component="srv"),
         )
@@ -260,12 +260,69 @@ class TestServeTracing:
         assert sink.spans() == []
 
 
+class TestTracedFailover:
+    """A 4-worker fleet with w0 killed mid-step, traced vs untraced."""
+
+    def _killed_replay(self, *, traced):
+        clock = SimulatedClock()
+        rng = np.random.default_rng(2022)
+        series = [rng.random((900, 7)) * 100.0 for _ in range(8)]
+        gen = FleetLoadGenerator(series, n_jobs=16, samples_per_tick=90,
+                                 max_samples_per_job=900, seed=2022,
+                                 clock=clock)
+        sink = TraceSink() if traced else None
+        workers = [
+            FleetWorker(
+                f"w{i}", ThresholdModel(),
+                ServeConfig(window=90, hop=90, flush_deadline_s=0.0),
+                clock=clock,
+                tracer=(Tracer(sink, component=f"w{i}", worker_id=f"w{i}")
+                        if traced else None))
+            for i in range(4)
+        ]
+        router = FleetRouter(
+            workers, history=gen.job_stream,
+            tracer=Tracer(sink, component="router") if traced else None)
+        # each router.step() trips the crash point once per live worker in
+        # sorted-id order: hit 3 * 4 + 1 is w0 at the top of tick 3
+        with inject(FaultSpec("fleet.worker.crash", at_hit=3 * 4 + 1,
+                              mode="raise")):
+            report = gen.run(
+                router,
+                tracer=Tracer(sink, component="gen") if traced else None)
+        return report, router, sink
+
+    def test_tracing_never_steers_and_every_trace_connects(self):
+        traced, router, sink = self._killed_replay(traced=True)
+        untraced, _, _ = self._killed_replay(traced=False)
+
+        def keys(report):
+            return [(e.job_id, e.prediction.sample_index, e.prediction.label,
+                     e.prediction.smoothed_label, e.prediction.confidence)
+                    for e in report.emissions]
+
+        assert keys(traced) and keys(traced) == keys(untraced)  # order too
+        spans = sink.spans()
+        query = TraceQuery(spans)
+        trace_ids = query.trace_ids()
+        assert trace_ids and all(query.is_connected(t) for t in trace_ids)
+        # the in-flight request on the killed worker carries a failed
+        # worker.lost span, and the failover spans link its trace id
+        [event] = [e for e in router.events if e.kind == "failover"]
+        assert any(s.name == "worker.lost" and s.worker_id == event.worker_id
+                   for t in trace_ids for s in query.failed_spans(t))
+        links = [(s.trace_id, s.annotations.get("links")) for s in spans
+                 if s.name in ("failover.rebuild", "failover.replay")
+                 and s.annotations]
+        assert links and all(t == link for t, link in links)
+
+
 class TestFleetClockPropagation:
     """Satellite: one injected clock must reach every component."""
 
     def _worker(self, wid, clock):
         return FleetWorker(
-            wid, _ThresholdModel(),
+            wid, ThresholdModel(),
             ServeConfig(window=90, hop=90, flush_deadline_s=0.0),
             clock=clock,
         )
