@@ -21,8 +21,9 @@ import numpy as np
 
 from repro.data.fulltrace import full_trace_covariance
 from repro.models import make_rf_cov
+from repro.serve import FleetLoadGenerator, InferenceServer
 from repro.simcluster.cluster import ClusterSimulator, SimulationConfig
-from repro.store import ReplayConfig, Replayer, TelemetryStore, compact_store
+from repro.store import TelemetryStore, compact_store
 
 
 def archive_release(root: Path) -> TelemetryStore:
@@ -50,8 +51,8 @@ def replay_fleet(store: TelemetryStore) -> None:
     model = make_rf_cov(n_estimators=40).fit(X, y)
 
     for rate in (1.0, 8.0):
-        replayer = Replayer(store, ReplayConfig(n_jobs=12, rate=rate, seed=0))
-        report = replayer.run(model)
+        gen = FleetLoadGenerator.from_store(store, n_jobs=12, rate=rate)
+        report = gen.run(InferenceServer(model, clock=gen.clock))
         print(f"rate {rate:>4}x: {report.n_predictions} predictions over "
               f"{report.sim_seconds:.0f} simulated s "
               f"({report.wall_seconds:.2f} wall s), "

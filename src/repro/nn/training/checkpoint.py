@@ -20,16 +20,14 @@ Restoring all of it makes ``fit`` → kill → ``resume`` produce a history
 the invariant ``tests/test_resilience_crash.py`` asserts under injected
 and real SIGKILLs.
 
-File format (``repro-checkpoint-v1``): a pickled header dict carrying a
-CRC32 over the pickled checkpoint payload, written atomically via
-:func:`repro.utils.persist.atomic_write_bytes`; see README "Surviving
-failures" for the field list.
+File format (``repro-checkpoint-v1``): a checked envelope
+(:func:`repro.utils.persist.write_checked`) — a pickled header carrying a
+CRC32 over the pickled checkpoint, replaced atomically; see README
+"Surviving failures" for the field list.
 """
 
 from __future__ import annotations
 
-import pickle
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -37,7 +35,7 @@ from typing import Any
 import numpy as np
 
 from repro.nn.module import Module
-from repro.utils.persist import atomic_write_bytes
+from repro.utils.persist import read_checked, write_checked
 
 __all__ = [
     "TrainingCheckpoint",
@@ -123,43 +121,22 @@ def save_checkpoint(checkpoint: TrainingCheckpoint, path: str | Path) -> Path:
     import repro
 
     checkpoint.repro_version = checkpoint.repro_version or repro.__version__
-    body = pickle.dumps(checkpoint, protocol=pickle.HIGHEST_PROTOCOL)
-    header = {
-        "magic": _MAGIC,
-        "repro_version": checkpoint.repro_version,
-        "crc32": zlib.crc32(body),
-        "body": body,
-    }
-    return atomic_write_bytes(
-        path, pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)
-    )
+    return write_checked(path, _MAGIC, checkpoint,
+                         fields={"repro_version": checkpoint.repro_version})
 
 
 def load_checkpoint(path: str | Path) -> TrainingCheckpoint:
     """Load and checksum-verify a checkpoint written by :func:`save_checkpoint`.
 
-    Raises ``FileNotFoundError`` for missing files and ``ValueError`` for
-    non-checkpoint or corrupt (CRC mismatch) files.
+    Raises ``FileNotFoundError`` for missing files and ``ValueError``
+    naming the path for non-checkpoint or corrupt files.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(
-            f"no checkpoint at {path} (resolved: {path.resolve()})"
-        )
-    with path.open("rb") as handle:
-        try:
-            header = pickle.load(handle)
-        except Exception as exc:
-            raise ValueError(f"{path} is not a repro checkpoint: {exc}") from exc
-    if not isinstance(header, dict) or header.get("magic") != _MAGIC:
-        raise ValueError(f"{path} is not a repro checkpoint")
-    body = header["body"]
-    stored_crc = header.get("crc32")
-    if stored_crc is not None and zlib.crc32(body) != stored_crc:
-        raise ValueError(
-            f"{path} failed its CRC32 check: the checkpoint is corrupt"
-        )
-    checkpoint = pickle.loads(body)
+    header, checkpoint = read_checked(path, _MAGIC, "checkpoint",
+                                      fields=("repro_version",))
     if not isinstance(checkpoint, TrainingCheckpoint):
         raise ValueError(f"{path} does not contain a TrainingCheckpoint")
+    if header["repro_version"] != checkpoint.repro_version:
+        raise ValueError(
+            f"{path} header and body disagree: the checkpoint is corrupt"
+        )
     return checkpoint

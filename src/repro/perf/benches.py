@@ -404,9 +404,10 @@ def _store(quick: bool) -> SuiteGen:
     import shutil
     import tempfile
 
+    from repro.serve.loadgen import FleetLoadGenerator
+    from repro.serve.server import InferenceServer
     from repro.simcluster.cluster import ClusterSimulator, SimulationConfig
     from repro.store.compact import compact_store
-    from repro.store.replay import ReplayConfig, Replayer
     from repro.store.store import TelemetryStore
 
     scale, n_shards, repeats = (0.01, 2, 2) if quick else (0.02, 4, 3)
@@ -443,15 +444,19 @@ def _store(quick: bool) -> SuiteGen:
         yield Group([Bench("store.recover", recover_scan, rows, "rows",
                            config=cfg)], repeats=repeats)
         with TelemetryStore(root, n_shards=n_shards) as store:
-            replayer = Replayer(store, ReplayConfig(
-                n_jobs=16, samples_per_tick=90, min_samples=540, rate=4.0,
-                seed=2022))
-            gen = replayer.loadgen()
+            def loadgen():
+                return FleetLoadGenerator.from_store(
+                    store, n_jobs=16, rate=4.0, seed=2022)
+
+            def replay():
+                gen = loadgen()
+                gen.run(InferenceServer(MeanSignModel(), clock=gen.clock))
+
+            gen = loadgen()
             replay_rows = int(sum(gen.job_stream(j).shape[0]
                                   for j in range(gen.n_jobs)))
             yield Group([Bench(
-                "store.replay", lambda: replayer.run(MeanSignModel()),
-                replay_rows, "rows",
+                "store.replay", replay, replay_rows, "rows",
                 config={**cfg, "n_jobs": 16, "rate": 4.0},
             )], repeats=repeats)
         yield Group([Bench("store.compact", compact, rows, "rows",

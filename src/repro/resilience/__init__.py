@@ -12,9 +12,10 @@ survives them:
 * :mod:`repro.resilience.retry` — bounded exponential backoff for
   transient load failures.
 
-The crash-safe primitives themselves live where their callers are:
-atomic replace + CRC32 checksums in :mod:`repro.utils.persist`,
-checkpoint/resume in :mod:`repro.nn.training.checkpoint`.  The tier-1
+The crash-safe file primitives themselves — atomic replace, the
+CRC32-checked envelope and the framed append log — live in one module,
+:mod:`repro.utils.persist`; checkpoint/resume is in
+:mod:`repro.nn.training.checkpoint`.  The tier-1
 crash tests kill training mid-epoch and registry writers mid-save at
 these fault points and assert bit-identical resume and an intact
 registry.

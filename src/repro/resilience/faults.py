@@ -10,23 +10,36 @@ error handling) or by sending ``SIGKILL`` to the current process (for
 subprocess tests of abrupt preemption: no ``atexit``, no ``finally``, no
 flushing — exactly what a cluster preemption or OOM kill looks like).
 
-Instrumented points (grep for ``fault_point(`` to audit):
+Instrumented points (grep for ``fault_point(``, ``fault=`` and
+``replace_fault=`` to audit).  The owner is the module that chooses the
+point; the ``persist.*`` points and the three owned by ``store.wal``,
+``store.segment`` and ``trace.sink`` fire inside the durable-file layer,
+:mod:`repro.utils.persist`:
 
-==============================  =================================================
-``persist.mid_write``           half the payload bytes written to the tmp file
-``persist.before_replace``      tmp file durable, before ``os.replace``
-``persist.after_replace``       destination replaced, before directory fsync
-``registry.before_active_flip`` version registered, before the ACTIVE pointer flips
-``trainer.mid_epoch``           once per mini-batch, before the optimizer step
-``trainer.epoch_end``           epoch finished, checkpoint (if any) durable
-``store.wal.append``            half of one WAL record's bytes written
-``store.segment.finalize``      segment data durable in tmp, before the rename
-``store.manifest.swap``         segments finalized, before the manifest replace
-``fleet.worker.crash``          top of a fleet worker's step, before any work
-``train.worker.crash``          top of a gradient worker's shard, before any work
-``fleet.heartbeat.drop``        a worker's heartbeat, dropped in transit
-``trace.sink.flush``            half of a trace WAL batch's bytes written
-==============================  =================================================
+===========================  ====================  ===============================================
+point                        owner                 fires when
+===========================  ====================  ===============================================
+persist.mid_write            utils.persist         half the payload bytes written to the tmp file
+persist.before_replace       utils.persist         tmp file durable, before ``os.replace``
+persist.after_replace        utils.persist         destination replaced, before directory fsync
+registry.before_active_flip  serve.registry        registered, before the ACTIVE pointer flips
+trainer.mid_epoch            nn.training.trainer   once per mini-batch, before the optimizer step
+trainer.epoch_end            nn.training.trainer   epoch finished, checkpoint (if any) durable
+store.wal.append             store.wal             half of one WAL record's frame written
+store.segment.finalize       store.segment         segment data durable in tmp, before the rename
+store.manifest.swap          store.manifest        segments finalized, before the manifest replace
+fleet.worker.crash           fleet.worker          top of a fleet worker's step, before any work
+train.worker.crash           nn.training.parallel  top of a gradient worker's shard, before work
+fleet.heartbeat.drop         fleet.worker          a worker's heartbeat, dropped in transit
+trace.sink.flush             trace.sink            half of a trace WAL batch's frame written
+===========================  ====================  ===============================================
+
+``store.wal.append`` and ``trace.sink.flush`` are the mid-frame points
+of a :class:`~repro.utils.persist.FramedLog`.  ``store.segment.finalize``
+takes the place of ``persist.before_replace`` when
+:func:`~repro.utils.persist.atomic_write_bytes` writes a segment's data
+file; every atomic write, that one included, passes ``persist.mid_write``
+and ``persist.after_replace``.
 
 Injection is process-local and off by default; ``fault_point`` is a single
 ``is None`` check when no injector is installed, so production paths pay

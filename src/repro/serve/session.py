@@ -1,21 +1,19 @@
 """Per-job streaming sessions for the multi-tenant inference server.
 
-:class:`repro.core.streaming.OnlineWorkloadClassifier` couples the sliding
-window to the model call — fine for one stream, wasteful for thousands,
-where per-call ``predict`` overhead dominates.  :class:`StreamSession`
-keeps the exact window/hop/vote semantics but *splits the cycle in two*:
+A session owns one stream's window/hop/vote state and *splits the
+classification cycle in two*, so thousands of streams can share one
+batched ``predict`` call:
 
-1. ``push(samples)`` buffers telemetry (O(1) per sample on a deque) and
-   returns :class:`WindowRequest` snapshots whenever a classification is
-   due — the same cadence the online classifier emits at.
+1. ``push(samples)`` buffers telemetry and returns
+   :class:`WindowRequest` snapshots whenever a classification is due.
 2. ``complete(request, label)`` applies the label produced elsewhere
    (by the micro-batcher, which coalesced it with other sessions'
    windows) to the session's majority vote and returns the
    :class:`~repro.core.streaming.StreamPrediction`.
 
 Run serially — push, predict each returned window, complete — a session
-reproduces the online classifier's emissions bit for bit; that parity is
-pinned by the test suite.
+is exactly :class:`repro.core.streaming.OnlineWorkloadClassifier`, which
+is that loop over one session.
 
 Telemetry is buffered in a contiguous float32 ring (the dtype every model
 in this repo trains on): each row is written twice, at ``pos`` and

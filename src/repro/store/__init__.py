@@ -14,15 +14,15 @@ layers (each its own module):
   append → group commit → seal → serve, with recovery on open.
 
 On top: :mod:`repro.store.compact` (time-bucketed downsampling with
-retention, preserving full-trace moments), :mod:`repro.store.replay`
-(deterministic re-drive of serve/monitor scenarios at a configurable
-rate).  ``repro bench store`` times ingest, recovery, replay and
-compaction.
+retention, preserving full-trace moments).  Replay is
+:meth:`repro.serve.FleetLoadGenerator.from_store`, which re-drives the
+serving stack from sealed rows at a configurable rate.  Every durable
+file here is written through :mod:`repro.utils.persist`.  ``repro bench
+store`` times ingest, recovery, replay and compaction.
 """
 
 from repro.store.compact import CompactionReport, bucket_means, compact_store
 from repro.store.manifest import Manifest
-from repro.store.replay import ReplayConfig, Replayer
 from repro.store.segment import SegmentReader, SegmentWriter, TrialSlice
 from repro.store.store import TelemetryStore
 from repro.store.wal import WalRecord, WriteAheadLog, read_wal
@@ -30,8 +30,6 @@ from repro.store.wal import WalRecord, WriteAheadLog, read_wal
 __all__ = [
     "CompactionReport",
     "Manifest",
-    "ReplayConfig",
-    "Replayer",
     "SegmentReader",
     "SegmentWriter",
     "TelemetryStore",

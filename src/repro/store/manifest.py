@@ -4,9 +4,10 @@ The manifest records, per shard, which segment files are live and the
 next segment sequence number.  It is the *only* authority readers
 consult: a segment file on disk that the manifest does not reference is
 invisible (a crash artifact, garbage-collected later), so sealing rows
-is atomic — either the ``os.replace`` of the manifest lands (all new
+is atomic — either the atomic replace of the manifest lands (all new
 segments visible at once) or it doesn't (the WAL still holds every
-committed row).
+committed row).  On disk it is a checked envelope
+(:func:`repro.utils.persist.write_checked`), so damage is detected.
 
 The ``store.manifest.swap`` fault point fires after segments are durable
 but before the manifest replace, pinning exactly that window in the
@@ -15,13 +16,11 @@ crash tests.
 
 from __future__ import annotations
 
-import pickle
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.resilience.faults import fault_point
-from repro.utils.persist import atomic_write_bytes
+from repro.utils.persist import read_checked, write_checked
 
 __all__ = ["Manifest", "MANIFEST_NAME"]
 
@@ -62,50 +61,27 @@ class Manifest:
     def save(self, root: str | Path, *, fsync: bool = True) -> Path:
         """Atomically persist this manifest (the store's commit point)."""
         self.version += 1
-        body = pickle.dumps(
-            {
-                "n_shards": self.n_shards,
-                "n_sensors": self.n_sensors,
-                "version": self.version,
-                "segments": self.segments,
-                "next_seq": self.next_seq,
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        payload = pickle.dumps(
-            {"magic": _MAGIC, "crc32": zlib.crc32(body), "body": body},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        state = {
+            "n_shards": self.n_shards,
+            "n_sensors": self.n_sensors,
+            "version": self.version,
+            "segments": self.segments,
+            "next_seq": self.next_seq,
+        }
         fault_point("store.manifest.swap")
-        return atomic_write_bytes(Path(root) / MANIFEST_NAME, payload, fsync=fsync)
+        return write_checked(Path(root) / MANIFEST_NAME, _MAGIC, state,
+                             fsync=fsync)
 
     @classmethod
     def load(cls, root: str | Path) -> "Manifest | None":
         """Load the manifest, or ``None`` when the store has never sealed.
 
-        Raises ``ValueError`` on a corrupt file — impossible through the
-        atomic write path, so it indicates disk-level damage.
+        Raises ``ValueError`` naming the file when it is damaged —
+        impossible through the atomic write path, so it indicates
+        disk-level damage.
         """
         path = Path(root) / MANIFEST_NAME
         if not path.is_file():
             return None
-        with path.open("rb") as handle:
-            try:
-                payload = pickle.load(handle)
-            except Exception as exc:
-                raise ValueError(f"{path} is not a repro store manifest: {exc}") from exc
-        if not isinstance(payload, dict) or payload.get("magic") != _MAGIC:
-            raise ValueError(f"{path} is not a repro store manifest")
-        body = payload["body"]
-        if zlib.crc32(body) != payload["crc32"]:
-            raise ValueError(
-                f"{path} failed its CRC32 check: the manifest is corrupt"
-            )
-        state = pickle.loads(body)
-        return cls(
-            n_shards=state["n_shards"],
-            n_sensors=state["n_sensors"],
-            version=state["version"],
-            segments=state["segments"],
-            next_seq=state["next_seq"],
-        )
+        _, state = read_checked(path, _MAGIC, "store manifest")
+        return cls(**state)

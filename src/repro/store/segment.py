@@ -9,35 +9,39 @@ A segment is the sealed, read-optimized form of a batch of WAL records:
   serving/replay path.
 * ``seg-NNNNNN.meta`` — the header: per-trial index (key → row range,
   label, model name), a CRC32 over the data bytes, and optional
-  downsampling provenance.  Written atomically via
-  :func:`repro.utils.persist.atomic_write_bytes`, so it is either absent
-  or intact.
+  downsampling provenance.  A checked envelope
+  (:func:`repro.utils.persist.write_checked`): either absent or intact,
+  and a damaged one is rejected with ``ValueError`` naming the file.
+  Metas written before the envelope (unchecked ``-v1`` headers) still
+  open.
 
-Finalization is crash-safe: data bytes go to a ``.tmp`` file, are
-fsynced, and only then renamed over the final name (the
-``store.segment.finalize`` fault point sits between the two); the meta
-follows.  A segment becomes *visible* only once the manifest references
-it, so a kill anywhere in this sequence leaves at worst stray files that
-readers never consult.
+Finalization is crash-safe: both files are written with
+:func:`repro.utils.persist.atomic_write_bytes` — data first (the
+``store.segment.finalize`` fault point sits between its durable tmp file
+and the rename), then the meta.  A segment becomes *visible* only once
+the manifest references it, so a kill anywhere in this sequence leaves
+at worst stray files that readers never consult.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import tempfile
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.resilience.faults import fault_point
-from repro.utils.persist import atomic_write_bytes
+from repro.utils.persist import (
+    atomic_write_bytes,
+    checksum,
+    read_checked,
+    write_checked,
+)
 
 __all__ = ["TrialSlice", "SegmentWriter", "SegmentReader", "segment_paths"]
 
-_META_MAGIC = "repro-store-segment-v1"
+_META_MAGIC = "repro-store-segment-v2"
+_V1_MAGIC = "repro-store-segment-v1"     # unchecked meta of older releases
+_META_KEYS = {"n_rows", "n_sensors", "dtype", "crc32", "trials"}
 
 
 @dataclass(frozen=True)
@@ -84,37 +88,23 @@ class SegmentWriter:
         if rows.ndim != 2:
             raise ValueError(f"segment rows must be 2-D, got {rows.shape}")
         dat_path, meta_path = segment_paths(shard_dir, seq)
-        data = rows.tobytes()
-
-        fd, tmp_name = tempfile.mkstemp(
-            dir=shard_dir, prefix=dat_path.name + ".", suffix=".tmp"
-        )
-        tmp = Path(tmp_name)
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-                if fsync:
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            fault_point("store.segment.finalize")
-            os.replace(tmp, dat_path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        atomic_write_bytes(dat_path, rows, fsync=fsync,
+                           replace_fault="store.segment.finalize")
         meta = {
-            "magic": _META_MAGIC,
             "n_rows": int(rows.shape[0]),
             "n_sensors": int(rows.shape[1]),
             "dtype": "float32",
-            "crc32": zlib.crc32(data),
+            "crc32": checksum(rows),
             "trials": dict(trials),
         }
-        atomic_write_bytes(
-            meta_path,
-            pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL),
-            fsync=fsync,
-        )
+        write_checked(meta_path, _META_MAGIC, meta, fsync=fsync)
         return dat_path, meta_path
+
+
+def _v1_meta(header: dict):
+    """The meta of an unchecked ``-v1`` segment header, else ``None``."""
+    is_v1 = header.get("magic") == _V1_MAGIC
+    return header if is_v1 and set(header) == _META_KEYS | {"magic"} else None
 
 
 class SegmentReader:
@@ -128,10 +118,8 @@ class SegmentReader:
     def __init__(self, shard_dir: str | Path, seq: int):
         self.dat_path, self.meta_path = segment_paths(shard_dir, seq)
         self.seq = seq
-        with self.meta_path.open("rb") as handle:
-            meta = pickle.load(handle)
-        if not isinstance(meta, dict) or meta.get("magic") != _META_MAGIC:
-            raise ValueError(f"{self.meta_path} is not a repro store segment meta")
+        _, meta = read_checked(self.meta_path, _META_MAGIC,
+                               "store segment meta", legacy=_v1_meta)
         self.n_rows: int = meta["n_rows"]
         self.n_sensors: int = meta["n_sensors"]
         self.crc32: int = meta["crc32"]
@@ -157,7 +145,7 @@ class SegmentReader:
 
     def verify(self) -> bool:
         """CRC32-check the data bytes against the sealed header."""
-        return zlib.crc32(self.dat_path.read_bytes()) == self.crc32
+        return checksum(self.dat_path.read_bytes()) == self.crc32
 
     def close(self) -> None:
         """Release the memory map (views become invalid)."""

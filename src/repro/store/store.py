@@ -27,7 +27,6 @@ fault points):
 
 from __future__ import annotations
 
-import pickle
 from pathlib import Path
 
 import numpy as np
@@ -37,13 +36,20 @@ from repro.data.fulltrace import TraceMoments
 from repro.store.manifest import Manifest
 from repro.store.segment import SegmentReader, SegmentWriter, TrialSlice, segment_paths
 from repro.store.wal import WalRecord, WriteAheadLog
-from repro.utils.persist import atomic_write_bytes
+from repro.utils.persist import read_checked, write_checked
 
 __all__ = ["TelemetryStore", "STORE_CONFIG_NAME"]
 
 STORE_CONFIG_NAME = "STORECONFIG"
-_CONFIG_MAGIC = "repro-store-config-v1"
+_CONFIG_MAGIC = "repro-store-config-v2"
+_V1_CONFIG_MAGIC = "repro-store-config-v1"  # unchecked config of older releases
 WAL_NAME = "wal.log"
+
+
+def _v1_config(header: dict):
+    """The config of an unchecked ``-v1`` STORECONFIG, else ``None``."""
+    is_v1 = header.get("magic") == _V1_CONFIG_MAGIC
+    return header if is_v1 and set(header) == {"magic", "n_shards"} else None
 
 
 def _shard_dir_name(shard: int) -> str:
@@ -102,19 +108,11 @@ class TelemetryStore:
     def _load_or_init_config(self, n_shards: int) -> int:
         path = self.root / STORE_CONFIG_NAME
         if path.is_file():
-            with path.open("rb") as handle:
-                cfg = pickle.load(handle)
-            if not isinstance(cfg, dict) or cfg.get("magic") != _CONFIG_MAGIC:
-                raise ValueError(f"{path} is not a repro store config")
+            _, cfg = read_checked(path, _CONFIG_MAGIC, "store config",
+                                  legacy=_v1_config)
             return int(cfg["n_shards"])
-        atomic_write_bytes(
-            path,
-            pickle.dumps(
-                {"magic": _CONFIG_MAGIC, "n_shards": n_shards},
-                protocol=pickle.HIGHEST_PROTOCOL,
-            ),
-            fsync=self.fsync,
-        )
+        write_checked(path, _CONFIG_MAGIC, {"n_shards": n_shards},
+                      fsync=self.fsync)
         return n_shards
 
     def _recover(self) -> None:

@@ -5,80 +5,30 @@ are framed, CRC-protected, and appended to one log file per shard.  A
 *group commit* (:meth:`WriteAheadLog.commit`) writes every staged record
 and fsyncs the file once, so a batch of appends costs one disk flush.
 
-Frame layout (little-endian)::
-
-    magic   4 bytes   b"RWL1"
-    length  u32       payload byte count
-    payload bytes     pickled record header + raw float32 series bytes
-    crc32   u32       CRC32 over the payload
-
-Recovery reads records in order and stops at the first frame that is
-truncated, mis-magic'd, or fails its CRC — everything before that point
-was durably committed and is served; everything after never committed
-(a SIGKILL mid-append leaves exactly such a torn tail; see the
-``store.wal.append`` fault point).  The torn tail is trimmed the next
-time the log is opened for writing, never on read.
+The log is a :class:`repro.utils.persist.FramedLog` with frame magic
+``RWL1``: one frame per record, whose payload is the pickled record
+header plus the raw float32 series bytes.  Recovery reads records in
+order and stops at the first frame that is truncated, mis-magic'd, or
+fails its CRC — everything before that point was durably committed and
+is served; everything after never committed (a SIGKILL mid-append leaves
+exactly such a torn tail; see the ``store.wal.append`` fault point).
+The torn tail is trimmed the next time the log is opened for writing,
+never on read.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.resilience.faults import fault_point
+from repro.utils.persist import FramedLog, frame_payload, read_frames
 
-__all__ = ["WalRecord", "WriteAheadLog", "frame_payload", "iter_frames", "read_wal"]
+__all__ = ["WalRecord", "WriteAheadLog", "read_wal"]
 
 _MAGIC = b"RWL1"
-_FRAME_HEAD = struct.Struct("<4sI")     # magic, payload length
-_FRAME_TAIL = struct.Struct("<I")       # crc32
-_MAX_PAYLOAD = 1 << 31                  # sanity bound against garbage lengths
-
-
-def frame_payload(payload: bytes, *, magic: bytes = _MAGIC) -> bytes:
-    """Wrap ``payload`` in the WAL frame layout (magic + length + crc).
-
-    The frame format is generic over the payload — the telemetry WAL and
-    the trace sink's span log share it, distinguished only by ``magic``
-    (4 bytes).
-    """
-    if len(magic) != 4:
-        raise ValueError(f"magic must be 4 bytes, got {magic!r}")
-    return (
-        _FRAME_HEAD.pack(magic, len(payload))
-        + payload
-        + _FRAME_TAIL.pack(zlib.crc32(payload))
-    )
-
-
-def iter_frames(raw: bytes, *, magic: bytes = _MAGIC):
-    """Yield ``(payload, end_offset)`` for each intact frame of ``raw``.
-
-    Stops at the first truncated, mis-magic'd, or CRC-failing frame —
-    the torn-tail recovery rule.  ``end_offset`` is the byte offset just
-    past the frame, so the last yielded value is the valid prefix length.
-    """
-    offset = 0
-    while offset + _FRAME_HEAD.size + _FRAME_TAIL.size <= len(raw):
-        frame_magic, length = _FRAME_HEAD.unpack_from(raw, offset)
-        if frame_magic != magic or length > _MAX_PAYLOAD:
-            return
-        body_start = offset + _FRAME_HEAD.size
-        body_end = body_start + length
-        if body_end + _FRAME_TAIL.size > len(raw):
-            return                      # torn tail: frame never committed
-        payload = raw[body_start:body_end]
-        (crc,) = _FRAME_TAIL.unpack_from(raw, body_end)
-        if zlib.crc32(payload) != crc:
-            return
-        offset = body_end + _FRAME_TAIL.size
-        yield payload, offset
 
 
 @dataclass(frozen=True)
@@ -95,10 +45,10 @@ class WalRecord:
     model_name: str
     series: np.ndarray
 
-    def encode(self) -> bytes:
-        """Frame this record (magic + length + payload + crc)."""
+    def payload(self) -> bytes:
+        """The record's frame payload: pickled header plus series bytes."""
         series = np.ascontiguousarray(self.series, dtype=np.float32)
-        payload = pickle.dumps(
+        return pickle.dumps(
             {
                 "job_id": int(self.job_id),
                 "gpu_index": int(self.gpu_index),
@@ -109,7 +59,10 @@ class WalRecord:
             },
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        return frame_payload(payload)
+
+    def encode(self) -> bytes:
+        """Frame this record (magic + length + payload + crc)."""
+        return frame_payload(self.payload(), _MAGIC)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -117,7 +70,11 @@ class WalRecord:
         return (self.job_id, self.gpu_index)
 
 
-def _decode_payload(payload: bytes) -> WalRecord:
+def _encode(records: list[WalRecord]):
+    return (record.payload() for record in records)
+
+
+def _decode(payload) -> WalRecord:
     head = pickle.loads(payload)
     series = np.frombuffer(head["data"], dtype=np.float32).reshape(head["shape"])
     return WalRecord(
@@ -136,93 +93,23 @@ def read_wal(path: str | Path) -> tuple[list[WalRecord], int]:
     offset of the first torn/corrupt frame (== file size when the log is
     clean).  Never modifies the file.
     """
-    path = Path(path)
-    if not path.is_file():
-        return [], 0
-    raw = path.read_bytes()
-    records: list[WalRecord] = []
-    valid = 0
-    for payload, end in iter_frames(raw):
-        try:
-            records.append(_decode_payload(payload))
-        except Exception:               # undecodable despite CRC: treat as torn
-            break
-        valid = end
-    return records, valid
+    return read_frames(path, _MAGIC, _decode)
 
 
-class WriteAheadLog:
-    """Append-only log for one shard, with staged records and group commit."""
+class WriteAheadLog(FramedLog):
+    """Append-only log for one shard, with staged records and group commit.
+
+    :meth:`stage`, :meth:`commit` (fsync once per call), :meth:`truncate`
+    and ``n_staged`` come from :class:`~repro.utils.persist.FramedLog`.
+    """
 
     def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._staged: list[WalRecord] = []
-        self._trimmed = False
-
-    @property
-    def n_staged(self) -> int:
-        """Records staged but not yet committed."""
-        return len(self._staged)
-
-    def stage(self, record: WalRecord) -> None:
-        """Buffer a record in memory; durable only after :meth:`commit`."""
-        self._staged.append(record)
-
-    def _trim_torn_tail(self) -> None:
-        """Truncate any torn frame a crash left, once, before first append."""
-        if self._trimmed:
-            return
-        self._trimmed = True
-        if not self.path.is_file():
-            return
-        _, valid = read_wal(self.path)
-        if valid < self.path.stat().st_size:
-            with self.path.open("rb+") as handle:
-                handle.truncate(valid)
-
-    def commit(self, *, fsync: bool = True) -> list[WalRecord]:
-        """Group-commit every staged record: write all frames, fsync once.
-
-        Returns the records that became durable.  A crash mid-commit
-        leaves a torn tail that recovery ignores, so earlier commits are
-        never damaged.
-        """
-        if not self._staged:
-            return []
-        self._trim_torn_tail()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            with self.path.open("ab") as handle:
-                for record in self._staged:
-                    frame = record.encode()
-                    half = len(frame) // 2
-                    handle.write(frame[:half])
-                    fault_point("store.wal.append")
-                    handle.write(frame[half:])
-                if fsync:
-                    handle.flush()
-                    os.fsync(handle.fileno())
-        except BaseException:
-            # An unwound fault mid-frame leaves a torn tail; keep the
-            # batch staged (commit is retryable — complete frames from a
-            # failed attempt are deduped by key on recovery) and force a
-            # re-trim before any future append lands behind the tear.
-            self._trimmed = False
-            raise
-        committed = self._staged
-        self._staged = []
-        return committed
-
-    def truncate(self) -> None:
-        """Drop every record (rows now sealed into segments)."""
-        if self.path.is_file():
-            with self.path.open("rb+") as handle:
-                handle.truncate(0)
-                handle.flush()
-                os.fsync(handle.fileno())
-        self._trimmed = True
+        super().__init__(
+            path, magic=_MAGIC, encode=_encode, decode=_decode,
+            fault="store.wal.append",
+        )
 
     def records(self) -> list[WalRecord]:
         """Every intact committed record currently in the log."""
-        records, _ = read_wal(self.path)
+        records, _ = self.read()
         return records

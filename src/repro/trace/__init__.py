@@ -7,9 +7,10 @@ admission → micro-batch assembly → model predict → session emit →
 monitor taps — across the subprocess-worker pipe boundary and through
 failover-by-replay (rebuilt sessions record spans in the original
 request's trace).  Completed :class:`Span` s land in a bounded
-:class:`TraceSink` (optionally WAL-persisted with the store's torn-tail
-recovery rule), and :class:`TraceQuery` reconstructs per-request span
-trees, critical paths, and per-stage p50/p95 self-time profiles.
+:class:`TraceSink` (optionally persisted to a torn-tail-safe
+:class:`~repro.utils.persist.FramedLog`), and :class:`TraceQuery`
+reconstructs per-request span trees, critical paths, and per-stage
+p50/p95 self-time profiles.
 
 The tier-1 tests pin that traced and untraced fleets emit identically
 (under failover too) and that every completed request's trace forms one

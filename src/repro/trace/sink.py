@@ -13,22 +13,21 @@ Memory is bounded: beyond ``capacity`` the oldest spans are evicted and
 counted in :attr:`dropped` — tracing must never be the component that
 OOMs the fleet it observes.
 
-Persistence reuses the telemetry store's WAL framing
-(:func:`repro.store.wal.frame_payload` / ``iter_frames``) with its own
-magic, so the span log inherits the same torn-tail recovery rule: a
-crash mid-flush (the ``trace.sink.flush`` fault point) leaves a torn
-frame that :func:`load_spans` ignores, and earlier flushes stay intact.
+Persistence is a :class:`repro.utils.persist.FramedLog` — the same
+framed append log as the telemetry store's WAL, with its own magic
+(``RTS1``) and one frame per flushed batch — so the span log has the
+same torn-tail recovery rule: a crash mid-flush (the ``trace.sink.flush``
+fault point) leaves a torn frame that :func:`load_spans` ignores, the
+next flush trims it first, and earlier flushes stay intact.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 from pathlib import Path
 
-from repro.resilience.faults import fault_point
-from repro.store.wal import frame_payload, iter_frames
 from repro.trace.span import Span
+from repro.utils.persist import FramedLog, read_frames
 
 __all__ = ["TraceSink", "load_spans"]
 
@@ -43,9 +42,10 @@ _FIELDS = (
 )
 
 
-def _encode_batch(spans: list[Span]) -> bytes:
+def _encode_batch(spans: list[Span]) -> list[bytes]:
+    """One frame payload per flush: every staged span as a tuple row."""
     rows = [tuple(getattr(s, f) for f in _FIELDS) for s in spans]
-    return pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL)
+    return [pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL)]
 
 
 def _decode_batch(payload: bytes) -> list[Span]:
@@ -59,16 +59,9 @@ def load_spans(wal_dir: str | Path) -> list[Span]:
     everything before it was durably flushed.  Returns ``[]`` when the
     directory or log does not exist.
     """
-    path = Path(wal_dir) / _WAL_NAME
-    if not path.is_file():
-        return []
-    spans: list[Span] = []
-    for payload, _ in iter_frames(path.read_bytes(), magic=_SPAN_MAGIC):
-        try:
-            spans.extend(_decode_batch(payload))
-        except Exception:               # undecodable despite CRC: treat as torn
-            break
-    return spans
+    batches, _ = read_frames(Path(wal_dir) / _WAL_NAME, _SPAN_MAGIC,
+                             _decode_batch)
+    return [span for batch in batches for span in batch]
 
 
 class TraceSink:
@@ -101,8 +94,10 @@ class TraceSink:
         self.fsync = bool(fsync)
         self.dropped = 0
         self._spans: list[Span] = []
-        self._staged: list[Span] = []
-        self._trimmed = False
+        self._log = None if self.wal_dir is None else FramedLog(
+            self.wal_dir / _WAL_NAME, magic=_SPAN_MAGIC, encode=_encode_batch,
+            decode=_decode_batch, fault="trace.sink.flush",
+        )
 
     def __len__(self) -> int:
         return len(self._spans)
@@ -115,9 +110,9 @@ class TraceSink:
             excess = len(self._spans) - self.capacity
             del self._spans[:excess]
             self.dropped += excess
-        if self.wal_dir is not None:
-            self._staged.append(span)
-            if len(self._staged) >= self.flush_every:
+        if self._log is not None:
+            self._log.stage(span)
+            if self._log.n_staged >= self.flush_every:
                 self.flush()
 
     def extend(self, spans) -> None:
@@ -137,20 +132,7 @@ class TraceSink:
     @property
     def n_staged(self) -> int:
         """Spans staged for the WAL but not yet flushed."""
-        return len(self._staged)
-
-    def _trim_torn_tail(self, path: Path) -> None:
-        if self._trimmed:
-            return
-        self._trimmed = True
-        if not path.is_file():
-            return
-        valid = 0
-        for _, end in iter_frames(path.read_bytes(), magic=_SPAN_MAGIC):
-            valid = end
-        if valid < path.stat().st_size:
-            with path.open("rb+") as handle:
-                handle.truncate(valid)
+        return self._log.n_staged if self._log is not None else 0
 
     def flush(self) -> int:
         """Write staged spans to the WAL as one frame; returns spans flushed.
@@ -159,24 +141,6 @@ class TraceSink:
         recovery ignores; the batch stays staged so a retry re-writes it
         whole, after re-trimming the tear.
         """
-        if self.wal_dir is None or not self._staged:
+        if self._log is None:
             return 0
-        path = self.wal_dir / _WAL_NAME
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self._trim_torn_tail(path)
-        frame = frame_payload(_encode_batch(self._staged), magic=_SPAN_MAGIC)
-        try:
-            with path.open("ab") as handle:
-                half = len(frame) // 2
-                handle.write(frame[:half])
-                fault_point("trace.sink.flush")
-                handle.write(frame[half:])
-                if self.fsync:
-                    handle.flush()
-                    os.fsync(handle.fileno())
-        except BaseException:
-            self._trimmed = False
-            raise
-        n = len(self._staged)
-        self._staged = []
-        return n
+        return len(self._log.commit(fsync=self.fsync))

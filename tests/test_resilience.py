@@ -2,6 +2,7 @@
 persistence + checksums, preemption sampling, and checkpoint basics."""
 
 import pickle
+import warnings
 import zlib
 
 import numpy as np
@@ -81,6 +82,57 @@ class TestAtomicWrite:
         assert path.read_bytes() == b"x"
 
 
+def _fingerprint(obj) -> bytes:
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _model_archive(tmp_path):
+    from repro.ml.preprocessing import StandardScaler
+
+    path = save_model(StandardScaler(), tmp_path / "m.pkl")
+    return path, lambda: _fingerprint(load_model(path))
+
+
+def _checkpoint(tmp_path):
+    from repro.nn.training import (TrainingCheckpoint, load_checkpoint,
+                                   save_checkpoint)
+
+    ckpt = TrainingCheckpoint(
+        epoch=2, model_state={"w": np.arange(4.0)}, optimizer_state={"t": 2},
+        scheduler_state=None, rng_states={}, history=None,
+        best_val_accuracy=0.5, best_state=None, stale=0)
+    path = save_checkpoint(ckpt, tmp_path / "t.ckpt")
+    return path, lambda: _fingerprint(load_checkpoint(path))
+
+
+def _store_file(name):
+    """A one-shard store holding two trials; damage ``name`` in it."""
+    def build(tmp_path):
+        from repro.store import TelemetryStore
+
+        root = tmp_path / "store"
+        with TelemetryStore(root, n_shards=1) as store:
+            store.append(0, np.full((6, 7), 1.5, np.float32), label=1)
+            store.append(1, np.full((4, 7), -2.0, np.float32), label=2)
+            store.flush()
+
+        def reopen():
+            with TelemetryStore(root, n_shards=1) as store:
+                return [(key, info.label, np.array(series).tobytes())
+                        for key, info, series in store.iter_trials()]
+        return root / name, reopen
+    return build
+
+
+_ENVELOPES = {
+    "model_archive": _model_archive,
+    "checkpoint": _checkpoint,
+    "manifest": _store_file("MANIFEST"),
+    "segment_meta": _store_file("shard-00/seg-000001.meta"),
+    "storeconfig": _store_file("STORECONFIG"),
+}
+
+
 class TestChecksum:
     def test_round_trip_with_checksum(self, tmp_path):
         from repro.ml.preprocessing import StandardScaler
@@ -89,24 +141,6 @@ class TestChecksum:
         payload = pickle.loads(path.read_bytes())
         assert payload["crc32"] == zlib.crc32(payload["model_pickle"])
         assert type(load_model(path)).__name__ == "StandardScaler"
-
-    def test_bit_flip_detected(self, tmp_path):
-        from repro.ml.preprocessing import StandardScaler
-
-        path = save_model(StandardScaler(), tmp_path / "m.pkl")
-        raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError):
-            load_model(path)
-
-    def test_checksum_optional(self, tmp_path):
-        from repro.ml.preprocessing import StandardScaler
-
-        path = save_model(StandardScaler(), tmp_path / "m.pkl", checksum=False)
-        payload = pickle.loads(path.read_bytes())
-        assert payload["crc32"] is None
-        load_model(path)  # loads fine, simply unverified
 
     def test_legacy_inline_model_still_loads(self, tmp_path):
         # Files from pre-checksum releases carried the model object inline.
@@ -122,6 +156,62 @@ class TestChecksum:
         path = tmp_path / "legacy.pkl"
         path.write_bytes(pickle.dumps(legacy))
         assert type(load_model(path)).__name__ == "StandardScaler"
+
+    def test_unchecked_archive_still_loads(self, tmp_path):
+        # Archives saved with the checksum switched off stored crc32 None.
+        import repro
+        from repro.ml.preprocessing import StandardScaler
+
+        unchecked = {
+            "magic": "repro-model-v1",
+            "repro_version": repro.__version__,
+            "model_class": "StandardScaler",
+            "crc32": None,
+            "model_pickle": pickle.dumps(StandardScaler()),
+        }
+        path = tmp_path / "unchecked.pkl"
+        path.write_bytes(pickle.dumps(unchecked))
+        assert type(load_model(path)).__name__ == "StandardScaler"
+
+    @pytest.mark.parametrize("kind", sorted(_ENVELOPES))
+    def test_damage_raises_value_error_naming_the_file(self, kind, tmp_path):
+        """Every checked envelope kind rejects a flipped bit or a truncation
+        with a ValueError that names the file.  Sweeping the lowest bit of
+        every byte: no flip may load different content or raise anything
+        else; the few flips pickle itself ignores (the protocol byte, a
+        frame-length byte, the advisory model version stamp) load back the
+        identical content."""
+        path, load = _ENVELOPES[kind](tmp_path)
+        good = path.read_bytes()
+        want = load()
+
+        def damaged(raw):
+            path.write_bytes(raw)
+            with pytest.raises(ValueError) as info:
+                load()
+            assert str(path) in str(info.value)
+
+        mid = bytearray(good)
+        mid[len(good) // 2] ^= 0xFF
+        damaged(bytes(mid))
+        for n in (0, 1, len(good) // 2, len(good) - 1):
+            damaged(good[:n])
+
+        ignored = []
+        for i in range(len(good)):
+            raw = bytearray(good)
+            raw[i] ^= 1
+            path.write_bytes(bytes(raw))
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    got = load()
+            except ValueError as exc:
+                assert str(path) in str(exc), (i, exc)
+                continue
+            assert got == want, f"bit flip at byte {i} loaded wrong content"
+            ignored.append(i)
+        assert len(ignored) <= 8, ignored
 
 
 class TestRetry:

@@ -267,6 +267,42 @@ class TestTelemetryStore:
             assert store.n_shards == 3
             assert len(store) == 5
 
+    def test_store_with_unchecked_headers_still_opens(self, tmp_path):
+        # Older releases wrote STORECONFIG and segment metas as plain
+        # pickled dicts with no CRC over the header.
+        root = tmp_path / "old"
+        shard = root / "shard-00"
+        shard.mkdir(parents=True)
+        (root / "STORECONFIG").write_bytes(pickle.dumps(
+            {"magic": "repro-store-config-v1", "n_shards": 1}))
+        rows = np.concatenate([_series(6, seed=1), _series(4, seed=2)])
+        dat, meta = segment_paths(shard, 1)
+        dat.write_bytes(rows.tobytes())
+        meta.write_bytes(pickle.dumps({
+            "magic": "repro-store-segment-v1",
+            "n_rows": 10, "n_sensors": 7, "dtype": "float32",
+            "crc32": zlib.crc32(rows.tobytes()),
+            "trials": {
+                (0, 0): TrialSlice(row_start=0, n_rows=6, label=1,
+                                   model_name="a"),
+                (1, 0): TrialSlice(row_start=6, n_rows=4, label=2,
+                                   model_name="b"),
+            },
+        }))
+        Manifest(n_shards=1, n_sensors=7, segments={0: [1]},
+                 next_seq={0: 2}).save(root)
+        with TelemetryStore(root, n_shards=4) as store:
+            assert store.n_shards == 1
+            assert store.keys() == [(0, 0), (1, 0)]
+            np.testing.assert_array_equal(store.series(1), rows[6:])
+            assert store.slice_info(0).label == 1
+            store.verify()
+            store.append(2, _series(5, seed=3))
+            store.flush()
+        with TelemetryStore(root) as store:
+            assert len(store) == 3
+            np.testing.assert_array_equal(store.series(0), rows[:6])
+
     def test_labelled_dataset_preserves_float32_views(self, tmp_path):
         with TelemetryStore(tmp_path / "s", n_shards=2) as store:
             expected = self._fill(store)

@@ -9,9 +9,9 @@ import pytest
 from repro.monitor.inject import DriftInjection
 from repro.perf.benches import MeanSignModel
 from repro.serve.loadgen import FleetLoadGenerator
-from repro.serve.server import ServeConfig
+from repro.serve.server import InferenceServer, ServeConfig
 from repro.simcluster.workload import DEFAULT_DT_S
-from repro.store import ReplayConfig, Replayer, TelemetryStore
+from repro.store import TelemetryStore
 
 
 def _filled_store(root, n_shards=2, n_jobs=6, n=700):
@@ -26,16 +26,17 @@ def _filled_store(root, n_shards=2, n_jobs=6, n=700):
     return store
 
 
-_REPLAY = ReplayConfig(n_jobs=6, samples_per_tick=90, min_samples=540, seed=3)
 _SERVE = ServeConfig(window=540, hop=90, vote_window=3)
 
 
+def _replay(store, rate=1.0, drift=None, seed=3):
+    gen = FleetLoadGenerator.from_store(store, n_jobs=6, seed=seed,
+                                        rate=rate, drift=drift)
+    return gen.run(InferenceServer(MeanSignModel(), _SERVE, clock=gen.clock))
+
+
 def _trace(store, rate=1.0, drift=None):
-    replayer = Replayer(store, ReplayConfig(
-        n_jobs=_REPLAY.n_jobs, samples_per_tick=_REPLAY.samples_per_tick,
-        min_samples=_REPLAY.min_samples, seed=_REPLAY.seed, rate=rate,
-    ))
-    report = replayer.run(MeanSignModel(), serve_config=_SERVE, drift=drift)
+    report = _replay(store, rate=rate, drift=drift)
     return [
         (e.job_id, int(e.prediction.label), int(e.prediction.smoothed_label))
         for e in report.emissions
@@ -63,20 +64,17 @@ class TestReplayDeterminism:
 
     def test_rate_rescales_simulated_time_only(self, tmp_path):
         with _filled_store(tmp_path / "s") as store:
-            replayer = Replayer(store, ReplayConfig(
-                n_jobs=6, min_samples=540, samples_per_tick=90, rate=4.0))
-            gen = replayer.loadgen()
+            gen = FleetLoadGenerator.from_store(store, n_jobs=6, rate=4.0)
             assert gen.tick_s == pytest.approx(90 * DEFAULT_DT_S / 4.0)
-            report = replayer.run(MeanSignModel(), serve_config=_SERVE)
-            base = Replayer(store, ReplayConfig(
-                n_jobs=6, min_samples=540, samples_per_tick=90, rate=1.0,
-            )).run(MeanSignModel(), serve_config=_SERVE)
+            report = _replay(store, rate=4.0, seed=0)
+            base = _replay(store, rate=1.0, seed=0)
             assert report.n_predictions == base.n_predictions
             assert report.sim_seconds == pytest.approx(base.sim_seconds / 4.0)
 
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError, match="rate"):
-            ReplayConfig(rate=0.0)
+    def test_invalid_rate_rejected(self, tmp_path):
+        with _filled_store(tmp_path / "s") as store:
+            with pytest.raises(ValueError, match="rate"):
+                FleetLoadGenerator.from_store(store, rate=0.0)
 
 
 class TestFromStoreLoadgen:
