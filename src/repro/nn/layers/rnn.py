@@ -1,22 +1,17 @@
 """LSTM layers with fused hand-derived backward and a grad-aware fast path.
 
 A per-op autograd LSTM would create hundreds of graph nodes per timestep;
-here the whole sequence is one graph node.  Two implementations share that
-node layout:
-
-* the **slow reference** (:meth:`LSTM._forward_slow`): per-step temporaries
-  are freshly allocated and the backward closure (``_backward_slow``)
-  mirrors the textbook BPTT recurrences — easy to audit, kept forever as
-  the parity oracle;
-* the **fused kernel** (:func:`_fused_seq_forward`, default): the same
-  float operations in the same order, but every per-step temporary lives in
-  preallocated float32 scratch reused across batches, gate activations are
-  written straight into the caches, and — for :class:`BiLSTM` — both
-  directions are stacked into one ``(2N, ·)`` row block so each elementwise
-  ufunc dispatches once instead of twice.  Elementwise ops round per
-  element, so stacking rows changes nothing; matmuls stay per-direction.
-  Gradients are **bit-identical** to the slow reference, pinned by the
-  parity suite (``tests/test_fused_backward.py``).
+here the whole sequence is one graph node, built by one **fused kernel**
+(:func:`_fused_seq_forward`).  It performs the float operations of the
+textbook BPTT recurrences in their textbook order, but every per-step
+temporary lives in preallocated float32 scratch reused across batches,
+gate activations are written straight into the caches, and — for
+:class:`BiLSTM` — both directions are stacked into one ``(2N, ·)`` row
+block so each elementwise ufunc dispatches once instead of twice.
+Elementwise ops round per element, so stacking rows changes nothing;
+matmuls stay per-direction.  Gradients are **bit-identical** to the
+allocating per-step reference the tests keep as the parity oracle
+(``tests/oracles.py``, which the parity suite imports).
 
 Under :class:`~repro.nn.tensor.no_grad` the forward takes an inference
 fast path instead: no ``(T, N, 4H)`` gate/cell caches, no backward closure,
@@ -154,6 +149,7 @@ def _seq_scratch(host: Module, R: int, N: int, T: int, H: int, D: int) -> dict:
         "dc_next": np.empty((RN, H), dtype=f32),
         "t1": np.empty((RN, H), dtype=f32),
         "t2": np.empty((RN, H), dtype=f32),
+        "dz_c": np.empty((RN, 4 * H), dtype=f32),
         # (2, RN, H) scratch: the i/f gate derivative chains are the same
         # elementwise op sequence, so the backward runs them as one joint
         # pass over the stacked [i, f] blocks (bit-identical per element).
@@ -171,19 +167,20 @@ def _seq_scratch(host: Module, R: int, N: int, T: int, H: int, D: int) -> dict:
     return s
 
 
-def _fused_seq_forward(x: Tensor, dirs, host: Module) -> Tensor | None:
+def _fused_seq_forward(x: Tensor, dirs, host: Module) -> Tensor:
     """Fused multi-direction LSTM forward + single fused BPTT backward.
 
     ``dirs`` is a list of ``(LSTM, reverse)`` pairs evaluated jointly by
     stacking their batch rows; the output concatenates their hidden
-    sequences along the channel axis in ``dirs`` order (matching
-    :meth:`BiLSTM.forward`'s ``Tensor.concatenate``).  Returns ``None``
-    when the pre-activation bound exceeds the sigmoid fast-path range —
-    the caller then falls back to the slow reference, which handles
-    arbitrary magnitudes (and whose per-call checked ``_sigmoid`` would
-    otherwise be impossible to match from joint calls).
+    sequences along the channel axis in ``dirs`` order.
 
-    Gradients are bit-identical to the per-direction slow reference: every
+    When any direction's pre-activation bound exceeds the sigmoid
+    fast-path range, the i/f/o gates are evaluated with the checked
+    ``_sigmoid`` once per (direction, gate block) on that direction's
+    ``N`` rows — the calls the per-direction reference makes, so each
+    takes the same overflow-safe branch.
+
+    Gradients are bit-identical to the per-direction reference: every
     elementwise op rounds per element (stacking is invisible), matmuls run
     per direction on contiguous row blocks, and the reduction order of the
     three weight-gradient GEMMs is unchanged.
@@ -193,6 +190,7 @@ def _fused_seq_forward(x: Tensor, dirs, host: Module) -> Tensor | None:
     H = dirs[0][0].hidden_size
     s = _seq_scratch(host, R, N, T, H, D)
     xs, zx = s["xs"], s["zx"]
+    safe = True
     for d, (lstm, reverse) in enumerate(dirs):
         sl = slice(d * N, (d + 1) * N)
         np.copyto(xs[sl], x.data[:, ::-1] if reverse else x.data)
@@ -200,7 +198,7 @@ def _fused_seq_forward(x: Tensor, dirs, host: Module) -> Tensor | None:
         np.matmul(xs[sl].reshape(N * T, D), lstm.w_ih.data, out=zx2)
         np.add(zx[sl], lstm.bias.data, out=zx[sl])
         if _gate_bound(zx[sl], lstm.w_hh.data) > _SIGMOID_SAFE_MAX:
-            return None
+            safe = False
 
     gates, cells, tanh_c = s["gates"], s["cells"], s["tanh_c"]
     zh, z, h, ig, zeros = s["zh"], s["z"], s["h"], s["ig"], s["zeros"]
@@ -213,16 +211,23 @@ def _fused_seq_forward(x: Tensor, dirs, host: Module) -> Tensor | None:
             np.matmul(h[sl], lstm.w_hh.data, out=zh[sl])
         np.add(zx[:, t], zh, out=z)
         gt, i_v, f_v, g_v, o_v = gate_views[t]
-        # tanh of the candidate block first, then sigmoid the *whole* z
-        # row in place: one contiguous 4H-wide pass beats three strided
-        # column-slice passes even though the g columns' sigmoid output
-        # is discarded.  Per-element results are unchanged (the 4-pass
-        # form rounds per element regardless of slicing).
         np.tanh(z[:, 2 * H:3 * H], out=g_v)
-        _sigmoid_unchecked(z, out=z)
-        np.copyto(i_v, z[:, :H])
-        np.copyto(f_v, z[:, H:2 * H])
-        np.copyto(o_v, z[:, 3 * H:])
+        if safe:
+            # Sigmoid the *whole* z row in place: one contiguous 4H-wide
+            # pass beats three strided column-slice passes even though the
+            # g columns' sigmoid output is discarded.  Per-element results
+            # are unchanged (the 4-pass form rounds per element regardless
+            # of slicing).
+            _sigmoid_unchecked(z, out=z)
+            np.copyto(i_v, z[:, :H])
+            np.copyto(f_v, z[:, H:2 * H])
+            np.copyto(o_v, z[:, 3 * H:])
+        else:
+            for d in range(R):
+                sl = slice(d * N, (d + 1) * N)
+                _sigmoid(z[sl, :H], out=i_v[sl])
+                _sigmoid(z[sl, H:2 * H], out=f_v[sl])
+                _sigmoid(z[sl, 3 * H:], out=o_v[sl])
         np.multiply(i_v, g_v, out=ig)
         ct = cells[t]
         np.multiply(f_v, cells[t - 1] if t else zeros, out=ct)
@@ -241,14 +246,14 @@ def _fused_seq_forward(x: Tensor, dirs, host: Module) -> Tensor | None:
     def backward(grad_out: np.ndarray) -> None:
         if host._fused_gen != gen:
             raise RuntimeError(
-                "fused LSTM backward after a newer forward reused the "
-                "scratch; call backward before the next forward, or set "
-                "fused_backward=False for multi-forward graphs"
+                "LSTM backward after a newer forward of the same layer "
+                "reused its scratch: call backward before the next forward "
+                "of that layer"
             )
         dz, dz_rows = s["dz"], s["dz_rows"]
         dh, dc, do = s["dh"], s["dc"], s["do"]
         dh_next, dc_next = s["dh_next"], s["dc_next"]
-        t1, t2 = s["t1"], s["t2"]
+        t1, t2, dz_c = s["t1"], s["t2"], s["dz_c"]
         ta, tb = s["ta"], s["tb"]
         dh_next.fill(0.0)
         dc_next.fill(0.0)
@@ -285,9 +290,13 @@ def _fused_seq_forward(x: Tensor, dirs, host: Module) -> Tensor | None:
             np.multiply(do, o_v, out=t1)
             np.subtract(1.0, o_v, out=t2)
             np.multiply(t1, t2, out=dz_t[:, 3 * H:])
+            # BLAS rounds the H == 1 matrix-vector product differently
+            # when the matrix rows are strided, so the recurrent GEMM reads
+            # a contiguous copy of dz_t, like the reference's fresh array.
+            np.copyto(dz_c, dz_t)
             for d, (lstm, _reverse) in enumerate(dirs):
                 sl = slice(d * N, (d + 1) * N)
-                np.matmul(dz_t[sl], lstm.w_hh.data.T, out=dh_next[sl])
+                np.matmul(dz_c[sl], lstm.w_hh.data.T, out=dh_next[sl])
             np.multiply(dc, f_v, out=dc_next)
 
         hp = s["hp"]
@@ -317,12 +326,9 @@ class LSTM(Module):
     process the sequence end-to-start (used by :class:`BiLSTM`); the output
     is returned in *original* time order either way.
 
-    ``fused_backward`` (class default ``True``) selects the fused
-    scratch-buffer kernel; disable it to run the slow closure reference
-    the parity suite compares against.
+    In grad mode the forward runs the fused scratch-buffer kernel; its
+    backward must run before the layer's next forward reuses the scratch.
     """
-
-    fused_backward: bool = True
 
     def __init__(
         self,
@@ -438,93 +444,7 @@ class LSTM(Module):
             raise ValueError(f"expected (N, T, {self.input_size}), got {x.shape}")
         if not is_grad_enabled():
             return Tensor(self._forward_inference(x.data, reverse))
-        if self.fused_backward:
-            out = _fused_seq_forward(x, [(self, reverse)], self)
-            if out is not None:
-                return out
-        return self._forward_slow(x, reverse)
-
-    def _forward_slow(self, x: Tensor, reverse: bool = False) -> Tensor:
-        """Per-op closure-graph reference path (parity oracle for the
-        fused kernel); builds fresh per-step temporaries every call."""
-        N, T, _D = x.shape
-        H = self.hidden_size
-        w_ih, w_hh, bias = self.w_ih, self.w_hh, self.bias
-
-        xs = x.data[:, ::-1] if reverse else x.data
-        # Input contribution for all steps at once: one big GEMM.
-        zx = xs.reshape(N * T, -1) @ w_ih.data
-        zx = zx.reshape(N, T, 4 * H) + bias.data
-
-        gates = np.empty((T, N, 4 * H), dtype=np.float32)  # activated i,f,g,o
-        cells = np.empty((T, N, H), dtype=np.float32)      # c_t
-        tanh_c = np.empty((T, N, H), dtype=np.float32)
-        h_prev_all = np.empty((T, N, H), dtype=np.float32)
-        h = np.zeros((N, H), dtype=np.float32)
-        c = np.zeros((N, H), dtype=np.float32)
-        out = np.empty((N, T, H), dtype=np.float32)
-
-        for t in range(T):
-            h_prev_all[t] = h
-            z = zx[:, t] + h @ w_hh.data
-            i = _sigmoid(z[:, :H])
-            f = _sigmoid(z[:, H : 2 * H])
-            g = np.tanh(z[:, 2 * H : 3 * H])
-            o = _sigmoid(z[:, 3 * H :])
-            c = f * c + i * g
-            tc = np.tanh(c)
-            h = o * tc
-            gates[t, :, :H] = i
-            gates[t, :, H : 2 * H] = f
-            gates[t, :, 2 * H : 3 * H] = g
-            gates[t, :, 3 * H :] = o
-            cells[t] = c
-            tanh_c[t] = tc
-            out[:, t] = h
-
-        out_final = out[:, ::-1].copy() if reverse else out
-
-        def _backward_slow(grad_out: np.ndarray) -> None:
-            g_out = grad_out[:, ::-1] if reverse else grad_out  # (N, T, H)
-            dz_all = np.empty((T, N, 4 * H), dtype=np.float32)
-            dh_next = np.zeros((N, H), dtype=np.float32)
-            dc_next = np.zeros((N, H), dtype=np.float32)
-            w_hh_T = w_hh.data.T
-            for t in range(T - 1, -1, -1):
-                i = gates[t, :, :H]
-                f = gates[t, :, H : 2 * H]
-                gg = gates[t, :, 2 * H : 3 * H]
-                o = gates[t, :, 3 * H :]
-                tc = tanh_c[t]
-                c_prev = cells[t - 1] if t > 0 else np.zeros((N, H), dtype=np.float32)
-
-                dh = g_out[:, t] + dh_next
-                do = dh * tc
-                dc = dh * o * (1.0 - tc**2) + dc_next
-                di = dc * gg
-                df = dc * c_prev
-                dg = dc * i
-                dz = dz_all[t]
-                dz[:, :H] = di * i * (1.0 - i)
-                dz[:, H : 2 * H] = df * f * (1.0 - f)
-                dz[:, 2 * H : 3 * H] = dg * (1.0 - gg**2)
-                dz[:, 3 * H :] = do * o * (1.0 - o)
-                dh_next = dz @ w_hh_T
-                dc_next = dc * f
-
-            dz_flat = dz_all.transpose(1, 0, 2).reshape(N * T, 4 * H)
-            if w_ih.requires_grad:
-                w_ih._accum(xs.reshape(N * T, -1).T @ dz_flat)
-            if w_hh.requires_grad:
-                hp = h_prev_all.transpose(1, 0, 2).reshape(N * T, H)
-                w_hh._accum(hp.T @ dz_flat)
-            if bias.requires_grad:
-                bias._accum(dz_flat.sum(axis=0))
-            if x.requires_grad:
-                dxs = (dz_flat @ w_ih.data.T).reshape(N, T, -1)
-                x._accum(dxs[:, ::-1] if reverse else dxs)
-
-        return Tensor.from_op(out_final, (x, w_ih, w_hh, bias), _backward_slow)
+        return _fused_seq_forward(x, [(self, reverse)], self)
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -549,13 +469,11 @@ class BiLSTM(Module):
     ``(N, 2H)`` concatenation of the two directions' final states — the
     paper's classification head consumes that.
 
-    With ``fused_backward`` (the default) both directions run in one
-    fused kernel — elementwise work stacked into ``(2N, ·)`` blocks, one
-    graph node, no concatenation copy on the backward path — producing
-    bit-identical outputs and gradients to the two-pass reference.
+    In grad mode both directions run in one fused kernel — elementwise
+    work stacked into ``(2N, ·)`` blocks, one graph node, no
+    concatenation copy on the backward path — producing bit-identical
+    outputs and gradients to two single-direction passes concatenated.
     """
-
-    fused_backward: bool = True
 
     def __init__(
         self,
@@ -573,15 +491,12 @@ class BiLSTM(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         """Compute the layer's output for the given input."""
-        if is_grad_enabled() and self.fused_backward:
-            out = _fused_seq_forward(
+        if is_grad_enabled():
+            return _fused_seq_forward(
                 x, [(self.fw, False), (self.bw, True)], self
             )
-            if out is not None:
-                return out
-        out_f = self.fw(x)
-        out_b = self.bw(x, reverse=True)
-        return Tensor.concatenate([out_f, out_b], axis=2)
+        return Tensor.concatenate([self.fw(x), self.bw(x, reverse=True)],
+                                  axis=2)
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -593,17 +508,12 @@ class BiLSTM(Module):
     def final_states(self, output: Tensor) -> Tensor:
         """(N, 2H): forward direction at t=T−1, backward direction at t=0.
 
-        With ``fused_backward`` this is one graph node whose backward adds
-        the head gradient into a zeroed per-shape scratch — bit-identical
-        to the reference chain (two ``__getitem__`` scatters + a
-        concatenate), which allocates a full ``(N, T, 2H)`` zeros array
-        per slice per batch.
+        One graph node whose backward adds the head gradient into a zeroed
+        per-shape scratch — bit-identical to the per-op chain (two
+        ``__getitem__`` scatters + a concatenate), which allocates a full
+        ``(N, T, 2H)`` zeros array per slice per batch.
         """
         H = self.hidden_size
-        if not (is_grad_enabled() and self.fused_backward):
-            fw_last = output[:, -1, :H]
-            bw_last = output[:, 0, H:]
-            return Tensor.concatenate([fw_last, bw_last], axis=1)
         data = np.concatenate(
             [output.data[:, -1, :H], output.data[:, 0, H:]], axis=1
         )

@@ -63,25 +63,20 @@ class Adam(Optimizer):
     def step(self) -> None:
         """Apply one optimization update from accumulated gradients.
 
-        When every scalar hyperparameter is a Python float (NEP 50 weak
-        promotion: all arithmetic stays float32) the update runs through
-        preallocated scratch buffers — the same ufunc sequence as the
-        allocating form, so results are bit-identical.  A non-float scalar
-        (e.g. a schedule-set ``np.float64`` lr, which intentionally promotes
-        the update to float64) takes the legacy allocating path so the
-        historical promotion behaviour is preserved exactly.
+        Every intermediate lives in preallocated per-parameter scratch; the
+        ufunc sequence is that of the textbook allocating form, so results
+        are bit-identical to it.  The learning rate is applied last, as
+        ``u * lr``: a schedule-set ``np.float64`` lr (e.g. from
+        :class:`~repro.nn.optim.schedulers.CyclicCosineLR`) promotes that
+        one product to float64 before the float32 parameter is updated,
+        exactly as the allocating form does.
         """
         self._t += 1
         b1, b2 = self.betas
         bc1 = 1.0 - b1**self._t
         bc2 = 1.0 - b2**self._t
         wd = self.weight_decay
-        fast = (
-            type(self.lr) is float and type(self.eps) is float
-            and type(b1) is float and type(b2) is float
-            and (not wd or type(wd) is float)
-        )
-        if fast and self._scratch is None:
+        if self._scratch is None:
             self._scratch = [
                 (np.empty_like(p.data), np.empty_like(p.data))
                 for p in self.params
@@ -90,18 +85,6 @@ class Adam(Optimizer):
             if p.grad is None:
                 continue
             g = p.grad
-            if not fast:
-                if wd and not self.decoupled_weight_decay:
-                    g = g + wd * p.data
-                m *= b1
-                m += (1.0 - b1) * g
-                v *= b2
-                v += (1.0 - b2) * g * g
-                update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-                if wd and self.decoupled_weight_decay:
-                    update = update + wd * p.data
-                p.data -= self.lr * update
-                continue
             u, w = self._scratch[i]
             if wd and not self.decoupled_weight_decay:
                 np.multiply(p.data, wd, out=w)
@@ -122,5 +105,4 @@ class Adam(Optimizer):
             if wd and self.decoupled_weight_decay:
                 np.multiply(p.data, wd, out=w)
                 np.add(u, w, out=u)
-            np.multiply(u, self.lr, out=u)
-            p.data -= u
+            p.data -= u * self.lr

@@ -3,8 +3,9 @@
 :mod:`repro.perf.benches` registers six timed suites — ``serve``,
 ``infer``, ``train``, ``store``, ``fleet``, ``trace`` — each writing one
 committed ``BENCH_<suite>.json``; :mod:`repro.perf.harness` is the
-timing core and the file schema.  Fast paths are timed against the slow
-references they replaced, behind a bit-parity assert.
+timing core and the file schema.  Where a fast path has a reference it
+must match (a serial run, the grad-mode forward, ``np.stack``), it is
+timed beside it behind a bit-parity assert.
 """
 
 from repro.perf.benches import (

@@ -4,7 +4,7 @@ A suite is a generator that sets up its workload and yields
 :class:`Group`\\ s of :class:`Bench` entries — a name, a zero-argument
 callable, the work one call does and its unit, and optionally a parity
 predicate.  :func:`run_suite` checks every parity predicate before it
-times a group (a fast path that diverges from its slow reference raises
+times a group (a fast path that diverges from its reference raises
 :class:`~repro.perf.harness.ParityError`), times the group's benches in
 rotated interleaved rounds, sends the accumulated per-bench seconds
 back into the generator, and takes the generator's return value as the
@@ -211,7 +211,10 @@ def _serve(quick: bool) -> SuiteGen:
 
 
 # ----------------------------------------------------------------------
-# infer: tree ensembles and LSTM predict, slow reference vs fast path
+# infer: tree ensembles and LSTM predict.  Parity gates: the tree-parallel
+# forest against the serial one, no_grad LSTM predict against the grad
+# forward; the flat-vs-per-tree-loop gates run in tier-1 against the
+# test-side oracles.
 # ----------------------------------------------------------------------
 def _infer(quick: bool) -> SuiteGen:
     from repro.ml.boosting.xgb import GradientBoostingClassifier
@@ -229,9 +232,6 @@ def _infer(quick: bool) -> SuiteGen:
     cfg = {"n_train": n_train, "n_test": n_test, "n_trees": n_trees,
            "d": 28, "k": 26}
 
-    def slow():
-        return rf._predict_proba_slow(Xt)
-
     def flat():
         return rf.predict_proba(Xt)
 
@@ -239,9 +239,7 @@ def _infer(quick: bool) -> SuiteGen:
         return rf.predict_proba(Xt, n_jobs=2)
 
     yield Group([
-        Bench("forest.predict.slow", slow, n_test, "rows", config=cfg),
-        Bench("forest.predict.flat", flat, n_test, "rows",
-              parity=_equal(slow, flat), config=cfg),
+        Bench("forest.predict.flat", flat, n_test, "rows", config=cfg),
         Bench("forest.predict.flat.j2", flat_j2, n_test, "rows",
               parity=_equal(flat, flat_j2), config={**cfg, "n_jobs": 2}),
     ], repeats=repeats)
@@ -254,17 +252,12 @@ def _infer(quick: bool) -> SuiteGen:
     cfg = {"n_train": n_train, "n_test": n_test, "rounds": rounds,
            "d": 20, "k": 8}
 
-    def margins_slow():
-        return gb._margins_slow(Xt2)
-
     def margins_flat():
         return gb._margins(Xt2)
 
     yield Group([
-        Bench("boosting.margins.slow", margins_slow, n_test, "rows",
-              config=cfg),
         Bench("boosting.margins.flat", margins_flat, n_test, "rows",
-              parity=_equal(margins_slow, margins_flat), config=cfg),
+              config=cfg),
     ], repeats=repeats)
 
     n, t, hidden = (16 if quick else 256), 96, 32
@@ -671,8 +664,7 @@ def _trace(quick: bool) -> SuiteGen:
 SUITES: dict[str, Suite] = {s.name: s for s in (
     Suite("serve", ("serve.replay", "serve.batch.stack",
                     "serve.batch.scratch"), _serve),
-    Suite("infer", ("forest.predict.slow", "forest.predict.flat",
-                    "forest.predict.flat.j2", "boosting.margins.slow",
+    Suite("infer", ("forest.predict.flat", "forest.predict.flat.j2",
                     "boosting.margins.flat", "lstm.predict.grad",
                     "lstm.predict.nograd"), _infer),
     Suite("train", ("lstm.train.epoch", "lstm.train.epoch.sharded",
@@ -710,7 +702,7 @@ def run_suite(name: str, *, quick: bool = False
                                      f"registered in suite {name!r}")
                 if bench.parity is not None and not bench.parity():
                     raise ParityError(f"{bench.name}: fast path diverged "
-                                      "from its slow reference")
+                                      "from its reference")
             measured = time_group([b.fn for b in group.benches],
                                   repeats=group.repeats, warmup=group.warmup,
                                   pause_gc=group.pause_gc)

@@ -52,7 +52,7 @@ __all__ = [
 
 
 class ParityError(AssertionError):
-    """A fast path diverged from its slow reference implementation."""
+    """A fast path diverged from the reference it is gated against."""
 
 
 @dataclass(frozen=True)

@@ -275,6 +275,9 @@ class FramedLog:
         self._decode = decode
         self._staged: list = []
         self._trimmed = False
+        # Valid byte count found by the last read; consulted only by the
+        # trim, which runs before any write of this object lands.
+        self._valid: int | None = None
 
     @property
     def n_staged(self) -> int:
@@ -287,14 +290,20 @@ class FramedLog:
 
     def read(self) -> tuple[list, int]:
         """Every intact committed item and the valid byte count."""
-        return read_frames(self.path, self.magic, self._decode)
+        items, self._valid = read_frames(self.path, self.magic, self._decode)
+        return items, self._valid
 
     def _trim_torn_tail(self) -> None:
-        """Truncate any torn frame a crash left, once, before first append."""
+        """Truncate any torn frame a crash left, once, before first append.
+
+        Reuses the valid byte count of a :meth:`read` made since the last
+        write (recovery reads the log just before the first commit), so
+        the log is read whole only when nothing read it yet.
+        """
         if self._trimmed:
             return
         self._trimmed = True
-        _, valid = self.read()
+        valid = self._valid if self._valid is not None else self.read()[1]
         if self.path.is_file() and valid < self.path.stat().st_size:
             with self.path.open("rb+") as handle:
                 handle.truncate(valid)
@@ -322,6 +331,7 @@ class FramedLog:
                     os.fsync(handle.fileno())
         except BaseException:
             self._trimmed = False
+            self._valid = None          # the failed write tore a new tail
             raise
         committed, self._staged = self._staged, []
         return committed

@@ -1,50 +1,58 @@
-"""Fused backward kernels: bitwise parity with the slow references.
+"""Fused backward kernels: bitwise parity with the test-side oracles.
 
 Every layer with a fused backward (``Linear``, ``Conv1d``, ``MaxPool1d``,
-``LSTM``, ``BiLSTM``) keeps its pre-fusion autograd path behind
-``fused_backward = False``.  These tests pin the contract: same inputs
-and cotangents ⇒ *bit-identical* gradients, for hand-picked shapes and
-hypothesis-drawn ones, and a two-epoch whole-model trajectory; the
-persistent gradient buffer never aliases caller arrays; and the Adam
-fast path reproduces the legacy allocating update exactly.
+``LSTM``, ``BiLSTM``) has one production path; its pre-fusion autograd
+form lives in :mod:`tests.oracles`.  These tests pin the contract: same
+inputs and cotangents ⇒ *bit-identical* gradients, for hand-picked shapes,
+hypothesis-drawn ones and pre-activations beyond the sigmoid fast-path
+range, and a two-epoch whole-model trajectory; the persistent gradient
+buffer never aliases caller arrays; and the scratch-buffer Adam update
+reproduces the allocating one exactly.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.nn.layers import rnn
 from repro.nn.layers.conv import Conv1d, MaxPool1d
 from repro.nn.layers.linear import Linear
 from repro.nn.layers.rnn import BiLSTM, LSTM
 from repro.nn.optim.adam import Adam
+from repro.nn.optim.schedulers import CyclicCosineLR
 from repro.nn.tensor import Tensor
+from tests.oracles import adam_step, bind_oracles
 
 
-def _twin_grads(make_layer, x_shape, seed):
-    """Gradients of the same layer/input under fused and slow backward."""
+def _twin_grads(make_layer, x_shape, seed, prepare=None):
+    """Gradients of the same layer/input, production and oracle."""
     rng = np.random.default_rng(seed)
     x_data = rng.standard_normal(x_shape).astype(np.float32)
     out_grads = {}
-    for fused in (True, False):
+    for oracle in (False, True):
         layer = make_layer()
-        layer.fused_backward = fused
+        if prepare is not None:
+            prepare(layer)
+        if oracle:
+            bind_oracles(layer)
         x = Tensor(x_data.copy(), requires_grad=True)
         out = layer(x)
         cot = np.random.default_rng(seed + 1) \
             .standard_normal(out.shape).astype(np.float32)
         out.backward(cot)
-        out_grads[fused] = {
+        out_grads[oracle] = {
             **{name: p.grad.copy() for name, p in layer.named_parameters()},
             "__x__": x.grad.copy(),
         }
     return out_grads
 
 
-def _assert_twin_parity(make_layer, x_shape, seed=0):
-    grads = _twin_grads(make_layer, x_shape, seed)
-    for name in grads[True]:
-        assert np.array_equal(grads[True][name], grads[False][name]), (
-            f"fused vs slow gradient of {name} differs for {x_shape}")
+def _assert_twin_parity(make_layer, x_shape, seed=0, prepare=None):
+    grads = _twin_grads(make_layer, x_shape, seed, prepare)
+    for name in grads[False]:
+        assert np.array_equal(grads[False][name], grads[True][name]), (
+            f"fused vs oracle gradient of {name} differs for {x_shape}")
+    return grads[False]
 
 
 CASES = [
@@ -58,6 +66,10 @@ CASES = [
     ("maxpool.k3s2", lambda: MaxPool1d(3, stride=2), (4, 30, 7)),
     ("lstm", lambda: LSTM(7, 12, rng=0), (5, 17, 7)),
     ("bilstm", lambda: BiLSTM(7, 12, rng=0), (5, 17, 7)),
+    # hidden 1: the recurrent GEMM is a matrix-vector product, whose BLAS
+    # rounding depends on the operand's row stride
+    ("lstm.h1", lambda: LSTM(3, 1, rng=0), (3, 2, 3)),
+    ("bilstm.h1", lambda: BiLSTM(3, 1, rng=0), (5, 17, 3)),
 ]
 
 
@@ -90,6 +102,73 @@ class TestFusedGradientParity:
     def test_lstm_random_shapes(self, seed, batch, t, d_in, hidden, cls):
         _assert_twin_parity(
             lambda: cls(d_in, hidden, rng=seed), (batch, t, d_in), seed)
+
+
+class TestLargePreactivations:
+    """Gate pre-activations past the sigmoid fast-path bound.
+
+    Scaling ``w_ih`` by 60 pushes :func:`rnn._gate_bound` past
+    ``_SIGMOID_SAFE_MAX``: the fused kernel must take the checked
+    ``_sigmoid`` per (direction, gate block), stay one fused graph node,
+    and still match the oracle bit for bit with finite gradients.
+    """
+
+    @pytest.mark.parametrize("cls", [LSTM, BiLSTM], ids=["lstm", "bilstm"])
+    def test_scaled_weights_stay_fused_and_match_oracle(self, cls,
+                                                        monkeypatch):
+        def directions(layer):
+            return (layer.fw, layer.bw) if cls is BiLSTM else (layer,)
+
+        def scale(layer):
+            for lstm in directions(layer):
+                lstm.w_ih.data *= 60.0
+
+        x_shape = (5, 17, 7)
+        x = np.random.default_rng(0).standard_normal(x_shape) \
+            .astype(np.float32)
+        probe = cls(7, 12, rng=0)
+        scale(probe)
+        assert any(
+            rnn._gate_bound(x @ d.w_ih.data + d.bias.data, d.w_hh.data)
+            > rnn._SIGMOID_SAFE_MAX for d in directions(probe))
+
+        fused_nodes, checked = [], []
+        real_fused, real_sigmoid = rnn._fused_seq_forward, rnn._sigmoid
+
+        def fused_spy(x, dirs, host):
+            out = real_fused(x, dirs, host)
+            fused_nodes.append(out)
+            return out
+
+        def sigmoid_spy(z, out=None):
+            checked.append(float(np.max(np.abs(z))) > rnn._SIGMOID_SAFE_MAX)
+            return real_sigmoid(z, out)
+
+        monkeypatch.setattr(rnn, "_fused_seq_forward", fused_spy)
+        monkeypatch.setattr(rnn, "_sigmoid", sigmoid_spy)
+        grads = _assert_twin_parity(lambda: cls(7, 12, rng=0), x_shape,
+                                    prepare=scale)
+        # One fused node (x plus three parameters per direction), and the
+        # overflow-safe sigmoid branch really ran inside it.
+        assert len(fused_nodes) == 1
+        assert len(fused_nodes[0]._parents) == 1 + 3 * len(directions(probe))
+        assert any(checked)
+        for name, g in grads.items():
+            assert np.isfinite(g).all(), name
+
+
+class TestFusedScratchGuard:
+    @pytest.mark.parametrize("cls", [LSTM, BiLSTM], ids=["lstm", "bilstm"])
+    def test_backward_after_newer_forward_raises(self, cls):
+        # The fused kernel's caches live in per-layer scratch that the
+        # next grad-mode forward overwrites.
+        layer = cls(3, 4, rng=0)
+        x = Tensor(np.ones((2, 5, 3), np.float32), requires_grad=True)
+        first = layer(x)
+        layer(x)
+        with pytest.raises(RuntimeError,
+                           match="call backward before the next forward"):
+            first.backward(np.ones(first.shape, np.float32))
 
 
 class TestGradientBuffer:
@@ -144,31 +223,42 @@ class TestGradientBuffer:
 
 
 class TestAdamFastPath:
-    def _steps(self, force_legacy, n_steps=5, seed=0):
+    def _steps(self, step, scheduled=False, n_steps=5, seed=0):
+        """Parameters and both moments after ``n_steps`` of ``step(opt)``;
+        ``scheduled`` sets the lr from a ``CyclicCosineLR`` every step."""
         rng = np.random.default_rng(seed)
         params = [Tensor(rng.standard_normal(s).astype(np.float32),
                          requires_grad=True)
                   for s in [(4, 3), (3,), (2, 2, 2)]]
         opt = Adam(params, lr=1e-3, weight_decay=1e-4)
-        if force_legacy:
-            # A non-``float`` eps disables the in-place fast path while
-            # keeping the arithmetic float32 (np.float32 adds to a float32
-            # array exactly like the cast python float does).
-            opt.eps = np.float32(opt.eps)
+        sched = CyclicCosineLR(opt, cycle_len=3) if scheduled else None
         grad_rng = np.random.default_rng(seed + 1)
         for _ in range(n_steps):
             for p in params:
                 p.zero_grad()
                 p._accum(grad_rng.standard_normal(p.data.shape)
                          .astype(np.float32))
-            opt.step()
-        return [p.data.copy() for p in params]
+            step(opt)
+            if sched is not None:
+                sched.step()
+        lr_type = type(opt.lr)
+        return lr_type, [a.copy() for a in
+                         [p.data for p in params] + opt._m + opt._v]
+
+    def _assert_matches_oracle(self, scheduled):
+        lr_type, fast = self._steps(Adam.step, scheduled)
+        _, oracle = self._steps(adam_step, scheduled)
+        for a, b in zip(fast, oracle):
+            assert np.array_equal(a, b)
+        return lr_type
 
     def test_fast_matches_legacy_bitwise(self):
-        fast = self._steps(force_legacy=False)
-        legacy = self._steps(force_legacy=True)
-        for a, b in zip(fast, legacy):
-            assert np.array_equal(a, b)
+        assert self._assert_matches_oracle(scheduled=False) is float
+
+    def test_scheduled_lr_matches_legacy_bitwise(self):
+        # CyclicCosineLR hands Adam a numpy.float64 lr, as in every
+        # scheduled RNN run after its first epoch.
+        assert self._assert_matches_oracle(scheduled=True) is np.float64
 
     def test_fast_path_does_not_allocate_per_step(self):
         p = Tensor(np.ones((8, 8), np.float32), requires_grad=True)
@@ -183,9 +273,9 @@ class TestAdamFastPath:
 
 class TestWholeModelParity:
     def test_two_epoch_trajectory(self):
-        # The composition gate: all-fused vs all-slow training must walk
-        # the same trajectory (losses, accuracies, learning rates, final
-        # parameters) bit for bit.
+        # The composition gate: all-production vs all-oracle training must
+        # walk the same trajectory (losses, accuracies, learning rates,
+        # final parameters) bit for bit.
         from repro.models import LSTMClassifier
         from repro.nn import NLLLoss, Trainer
 
@@ -193,21 +283,20 @@ class TestWholeModelParity:
         X = rng.standard_normal((64, 20, 7)).astype(np.float32)
         y = rng.integers(0, 5, size=64).astype(np.int64)
         runs = {}
-        for fused in (True, False):
+        for oracle in (False, True):
             model = LSTMClassifier(n_sensors=7, seq_len=20, n_classes=5,
                                    hidden_size=16, dropout=0.5, seed=0)
-            for m in model.modules():
-                if hasattr(m, "fused_backward"):
-                    m.fused_backward = fused
+            if oracle:
+                bind_oracles(model)
             trainer = Trainer(model, Adam(model.parameters(), lr=1e-3),
                               NLLLoss(), batch_size=16, max_epochs=2,
                               patience=100, shuffle_rng=0)
             hist = trainer.fit(X, y, X[:16], y[:16])
-            runs[fused] = (
+            runs[oracle] = (
                 [(e.epoch, e.train_loss, e.val_accuracy, e.lr)
                  for e in hist.epochs],
                 {n: p.data.copy() for n, p in model.named_parameters()},
             )
-        assert runs[True][0] == runs[False][0]
-        for name, value in runs[True][1].items():
-            assert np.array_equal(value, runs[False][1][name]), name
+        assert runs[False][0] == runs[True][0]
+        for name, value in runs[False][1].items():
+            assert np.array_equal(value, runs[True][1][name]), name

@@ -1,7 +1,9 @@
 """Bit-identity parity suite for the inference fast paths.
 
-Every optimisation ships with the slow reference it replaced; these tests
-pin that fast and slow produce *identical bits*, not merely close floats:
+Every optimisation is pinned against a reference — the path it replaced
+(kept in :mod:`tests.oracles` where production no longer has it), the
+grad-mode forward, or a serial run; these tests pin that fast and
+reference produce *identical bits*, not merely close floats:
 
 * ``no_grad`` fused-kernel forwards (LSTM / BiLSTM / Conv1d / MaxPool1d),
 * the flattened joint tree traversal (forest + boosting, any ``n_jobs``),
@@ -34,6 +36,7 @@ from repro.perf.benches import MeanSignModel
 from repro.serve.batcher import MicroBatcher
 from repro.serve.session import StreamSession
 from repro.simcluster.sensors import N_GPU_SENSORS
+from tests.oracles import boosting_margins, forest_predict_proba
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +175,7 @@ class TestFlatForest:
 
     def test_flat_matches_slow(self, forest):
         Xt, _ = _blobs(400, 10, 6, seed=1)
-        assert np.array_equal(forest._predict_proba_slow(Xt),
+        assert np.array_equal(forest_predict_proba(forest, Xt),
                               forest.predict_proba(Xt))
 
     def test_n_jobs_bit_identical(self, forest):
@@ -211,8 +214,8 @@ class TestFlatForest:
         gb = GradientBoostingClassifier(n_estimators=5, max_depth=3,
                                         random_state=0).fit(X, y)
         Xt, yt = _blobs(150, 8, 4, seed=5)
-        assert np.array_equal(gb._margins_slow(Xt), gb._margins(Xt))
-        assert np.array_equal(gb._margins_slow(Xt, 2), gb._margins(Xt, 2))
+        assert np.array_equal(boosting_margins(gb, Xt), gb._margins(Xt))
+        assert np.array_equal(boosting_margins(gb, Xt, 2), gb._margins(Xt, 2))
         assert np.array_equal(gb._margins(Xt), gb._margins(Xt, n_jobs=2))
         # staged_accuracy accumulates the same margins round by round
         staged = gb.staged_accuracy(Xt, yt)

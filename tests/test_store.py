@@ -217,6 +217,38 @@ class TestTelemetryStore:
             for (job_id, _), series in expected.items():
                 np.testing.assert_array_equal(store.series(job_id), series)
 
+    def test_first_commit_after_reopen_reads_wal_once(self, tmp_path,
+                                                      monkeypatch):
+        # Recovery reads the WAL; the torn-tail trim before the first
+        # commit reuses the valid length that read found instead of
+        # reading the whole log again, and still trims the tear.
+        import repro.utils.persist as persist
+
+        with TelemetryStore(tmp_path / "s", n_shards=1) as store:
+            store.append(0, _series(100))
+            store.commit()
+            wal_path = store._wals[0].path
+        frame = _record(7, 40).encode()
+        with wal_path.open("ab") as handle:
+            handle.write(frame[: len(frame) // 2])
+        calls = []
+        real_read_frames = persist.read_frames
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return real_read_frames(*args, **kwargs)
+
+        monkeypatch.setattr(persist, "read_frames", spy)
+        with TelemetryStore(tmp_path / "s", n_shards=1) as store:
+            assert len(calls) == 1
+            store.append(1, _series(50))
+            store.commit()
+            assert len(calls) == 1
+        monkeypatch.undo()
+        records, valid = read_wal(wal_path)
+        assert [r.key for r in records] == [(0, 0), (1, 0)]
+        assert valid == wal_path.stat().st_size
+
     def test_uncommitted_is_lost(self, tmp_path):
         with TelemetryStore(tmp_path / "s", n_shards=1) as store:
             store.append(0, _series(100))
